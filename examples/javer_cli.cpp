@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "aig/aiger_io.h"
@@ -715,112 +716,52 @@ int main(int argc, char** argv) {
   sim_opts.patterns = cli.sim_patterns;
   sim_opts.seed = cli.seed;
 
+  // One engine configuration for every engine branch. The aggregate
+  // engines read only the fields that apply to them (the up-front checks
+  // reject the flags they cannot honor).
+  mp::sched::EngineOptions engine;
+  engine.time_limit_per_property = cli.time_limit;
+  engine.clause_reuse = cli.reuse;
+  engine.lifting_respects_constraints = cli.strict_lifting;
+  engine.simplify = cli.simplify;
+  engine.ic3_solver = cli.ic3_solver;
+  engine.ic3_use_template = cli.ic3_template;
+  engine.cache_dir = cli.cache_dir;
+  engine.order = std::move(order);
+  engine.sim_filter = sim_opts;
+  engine.fault_plan = cli.fault_inject;
+  engine.tracer = tracer_ptr;
+  engine.metrics = metrics_ptr;
+  engine.progress = board_ptr;
+  engine.profiler = profiler_ptr;
+  // --engine hybrid and sharded: local proofs, hybrid BMC+IC3 dispatch.
+  mp::sched::SchedulerOptions hybrid;
+  hybrid.engine = engine;
+  hybrid.proof_mode = mp::sched::ProofMode::Local;
+  hybrid.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
+  hybrid.num_threads = cli.threads;
+  hybrid.bmc_max_depth = cli.bmc_depth;
+
   Timer timer;
   if (monitor) monitor->start();
   mp::MultiResult result;
   if (cli.engine == "ja") {
-    mp::JaOptions opts;
-    opts.time_limit_per_property = cli.time_limit;
-    opts.clause_reuse = cli.reuse;
-    opts.lifting_respects_constraints = cli.strict_lifting;
-    opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
-    opts.cache_dir = cli.cache_dir;
-    opts.order = order;
-    opts.sim_filter = sim_opts;
-    opts.fault_plan = cli.fault_inject;
-    opts.tracer = tracer_ptr;
-    opts.metrics = metrics_ptr;
-    opts.progress = board_ptr;
-    opts.profiler = profiler_ptr;
-    result = mp::JaVerifier(ts, opts).run(db);
+    result = mp::JaVerifier(ts, mp::JaOptions{engine}).run(db);
   } else if (cli.engine == "separate" || cli.engine == "separate-global") {
-    mp::SeparateOptions opts;
-    opts.local_proofs = false;
-    opts.clause_reuse = cli.reuse;
-    opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
-    opts.cache_dir = cli.cache_dir;
-    opts.time_limit_per_property = cli.time_limit;
-    opts.order = order;
-    opts.sim_filter = sim_opts;
-    opts.fault_plan = cli.fault_inject;
-    opts.tracer = tracer_ptr;
-    opts.metrics = metrics_ptr;
-    opts.progress = board_ptr;
-    opts.profiler = profiler_ptr;
+    mp::SeparateOptions opts{engine, /*local_proofs=*/false};
     result = mp::SeparateVerifier(ts, opts).run(db);
   } else if (cli.engine == "joint") {
-    mp::JointOptions opts;
-    opts.total_time_limit = cli.time_limit;
-    opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
-    opts.tracer = tracer_ptr;
-    opts.metrics = metrics_ptr;
-    opts.progress = board_ptr;
-    opts.profiler = profiler_ptr;
+    mp::JointOptions opts{engine, /*time_limit_per_iteration=*/0.0};
+    opts.total_time_limit = cli.time_limit;  // bounds the whole run
     result = mp::JointVerifier(ts, opts).run();
   } else if (cli.engine == "parallel") {
-    mp::ParallelJaOptions opts;
-    opts.num_threads = cli.threads;
-    opts.time_limit_per_property = cli.time_limit;
-    opts.clause_reuse = cli.reuse;
-    opts.lifting_respects_constraints = cli.strict_lifting;
-    opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
-    opts.cache_dir = cli.cache_dir;
-    opts.sim_filter = sim_opts;
-    opts.fault_plan = cli.fault_inject;
-    opts.tracer = tracer_ptr;
-    opts.metrics = metrics_ptr;
-    opts.progress = board_ptr;
-    opts.profiler = profiler_ptr;
+    mp::ParallelJaOptions opts{engine, cli.threads};
     result = mp::ParallelJaVerifier(ts, opts).run(db);
   } else if (cli.engine == "hybrid") {
-    mp::sched::SchedulerOptions opts;
-    opts.proof_mode = mp::sched::ProofMode::Local;
-    opts.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
-    opts.num_threads = cli.threads;
-    opts.bmc_max_depth = cli.bmc_depth;
-    opts.engine.time_limit_per_property = cli.time_limit;
-    opts.engine.clause_reuse = cli.reuse;
-    opts.engine.lifting_respects_constraints = cli.strict_lifting;
-    opts.engine.simplify = cli.simplify;
-    opts.engine.ic3_solver = cli.ic3_solver;
-    opts.engine.ic3_use_template = cli.ic3_template;
-    opts.engine.cache_dir = cli.cache_dir;
-    opts.engine.order = order;
-    opts.engine.sim_filter = sim_opts;
-    opts.engine.fault_plan = cli.fault_inject;
-    opts.engine.tracer = tracer_ptr;
-    opts.engine.metrics = metrics_ptr;
-    opts.engine.progress = board_ptr;
-    opts.engine.profiler = profiler_ptr;
-    result = mp::sched::Scheduler(ts, opts).run(db);
+    result = mp::sched::Scheduler(ts, hybrid).run(db);
   } else if (cli.engine == "sharded") {
     mp::shard::ShardedOptions opts;
-    opts.base.proof_mode = mp::sched::ProofMode::Local;
-    opts.base.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
-    opts.base.num_threads = cli.threads;
-    opts.base.bmc_max_depth = cli.bmc_depth;
-    opts.base.engine.time_limit_per_property = cli.time_limit;
-    opts.base.engine.clause_reuse = cli.reuse;
-    opts.base.engine.lifting_respects_constraints = cli.strict_lifting;
-    opts.base.engine.simplify = cli.simplify;
-    opts.base.engine.ic3_solver = cli.ic3_solver;
-    opts.base.engine.ic3_use_template = cli.ic3_template;
-    opts.base.engine.cache_dir = cli.cache_dir;
-    opts.base.engine.order = order;
-    opts.base.engine.sim_filter = sim_opts;
-    opts.base.engine.fault_plan = cli.fault_inject;
-    opts.base.engine.tracer = tracer_ptr;
-    opts.base.engine.metrics = metrics_ptr;
-    opts.base.engine.progress = board_ptr;
-    opts.base.engine.profiler = profiler_ptr;
+    opts.base = hybrid;
     opts.clustering.min_similarity = cli.cluster_threshold;
     opts.clustering.max_cluster_size = cli.max_cluster_size;
     opts.exchange = cli.lemma_exchange;

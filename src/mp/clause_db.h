@@ -57,8 +57,9 @@ class ClauseDb {
 // ShardedClauseDb: one independent ClauseDb per cluster shard (the
 // sharded scheduler's layout). Shards never contend with each other —
 // each cluster's tasks seed from and publish into their own shard only —
-// while seed_all/merged bridge to the single global database the CLI's
-// --clause-db persistence and the legacy verifiers use.
+// while seed_all/merged_snapshot bridge to the caller's single database
+// (the CLI's --clause-db persistence). A one-partition run (the
+// sched::Scheduler entry) works in the caller's database directly.
 class ShardedClauseDb {
  public:
   explicit ShardedClauseDb(std::size_t num_shards);
@@ -70,14 +71,6 @@ class ShardedClauseDb {
   // Adds the cubes to every shard (global seeding); returns the total
   // number of insertions across shards.
   std::size_t seed_all(const std::vector<ts::Cube>& cubes);
-
-  // Warm-start plumbing (src/persist): bulk-imports a prior run's shard
-  // snapshot into shard `i` (before its tasks first seed from it);
-  // returns how many cubes were new. Imported cubes are candidates only —
-  // consumers re-validate them like any other seed.
-  std::size_t import_shard(std::size_t i, const std::vector<ts::Cube>& cubes);
-  // The cube set shard `i` currently holds (persisted at end of run).
-  std::vector<ts::Cube> shard_snapshot(std::size_t i) const;
 
   // Union of all shards' cubes.
   std::vector<ts::Cube> merged_snapshot() const;

@@ -88,12 +88,6 @@ struct EngineOptions {
   // Phase profiler (obs/profile.h): per-(phase, shard, property) latency
   // histograms for SAT queries and engine phases; --profile-out.
   obs::PhaseProfiler* profiler = nullptr;
-  // Test hook (tests/test_monitor.cpp): the PropertyTask for this
-  // property index busy-waits this long before its *first* slice does
-  // any engine work, without publishing activity — a deterministic
-  // stalled task for the watchdog/preemption tests. SIZE_MAX = off.
-  std::size_t debug_stall_prop = static_cast<std::size_t>(-1);
-  double debug_stall_seconds = 0.0;
   // Deterministic fault injection (src/fault): a --fault-inject spec the
   // task-based schedulers parse into the run's FaultPlan and install for
   // the run's duration. Empty = no injection (the default; every

@@ -311,20 +311,10 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
     state_ = TaskState::Running;
     publish_state();
   }
-  if (prop_ == engine_opts_.debug_stall_prop && slice_index == 0 &&
-      engine_opts_.debug_stall_seconds > 0) {
-    // Watchdog test hook: burn wall-clock before the engine's first poll
-    // without publishing any activity, so the monitor observes a Running
-    // cell whose heartbeat age keeps growing.
-    Timer stall_timer;
-    while (stall_timer.seconds() < engine_opts_.debug_stall_seconds) {
-      if (progress_ != nullptr && progress_->preempt_requested()) break;
-    }
-  }
-  // Injected stall (fault plan site "task.stall"): same busy-wait shape
-  // as the debug hook — no activity published, so the watchdog sees a
-  // genuinely wedged slice — and the same preempt escape hatch, so
-  // --watchdog-preempt can still cut it short.
+  // Injected stall (fault plan site "task.stall"): burn wall-clock before
+  // the engine runs, without publishing any activity, so the watchdog
+  // sees a genuinely wedged slice; a preempt request still cuts it short
+  // (--watchdog-preempt).
   if (double stall = fault::inject_stall("task.stall"); stall > 0) {
     Timer stall_timer;
     while (stall_timer.seconds() < stall) {

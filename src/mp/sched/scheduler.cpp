@@ -1,20 +1,15 @@
 #include "mp/sched/scheduler.h"
 
 #include <algorithm>
-#include <memory>
-#include <numeric>
+#include <utility>
 
 #include "aig/sim.h"
 #include "base/log.h"
 #include "base/timer.h"
-#include "fault/fault.h"
 #include "mp/joint_verifier.h"
-#include "mp/sched/bmc_sweep.h"
-#include "mp/sched/worker_pool.h"
-#include "mp/simfilter/sim_filter.h"
+#include "mp/shard/sharded_scheduler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "persist/persist.h"
 
 namespace javer::mp::sched {
 
@@ -33,10 +28,6 @@ std::vector<std::size_t> Scheduler::resolve_order() const {
   return order;
 }
 
-unsigned Scheduler::effective_threads() const {
-  return resolve_worker_count(opts_.num_threads, ts_.num_properties());
-}
-
 MultiResult Scheduler::run() {
   ClauseDb db;
   return run(db);
@@ -44,190 +35,14 @@ MultiResult Scheduler::run() {
 
 MultiResult Scheduler::run(ClauseDb& db) {
   if (opts_.dispatch == DispatchPolicy::JointAggregate) return run_joint();
-  return run_tasks(db);
-}
-
-MultiResult Scheduler::run_tasks(ClauseDb& db) {
-  Timer total;
-  MultiResult result;
-  result.per_property.resize(ts_.num_properties());
-
-  const obs::TraceSink sink(opts_.engine.tracer);
-  obs::MetricsRegistry* metrics = opts_.engine.metrics;
-
-  // Fault injection (src/fault): parse EngineOptions::fault_plan and
-  // install the injector for the run's duration. A malformed plan throws
-  // here, before any work — that is a configuration error, not a fault
-  // to isolate. First-wins semantics make a nested scheduler under an
-  // injected outer run a no-op; declared before every task/pool object
-  // so the scope outlives all instrumented call paths.
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!opts_.engine.fault_plan.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan::parse(opts_.engine.fault_plan));
-    injector->set_observability(opts_.engine.tracer, metrics);
-  }
-  fault::ScopedInjection injection(injector.get());
-
-  const bool local = opts_.proof_mode == ProofMode::Local;
-  // One template memo for the whole run: in local mode every non-ETF
-  // target's {target} ∪ assumed set is the same property set, so all those
-  // tasks replay a single transition-relation encoding (thread-safe, so
-  // the worker pool shares it freely).
-  cnf::TemplateCache templates(ts_);
-
-  // Warm-start persistence (EngineOptions::cache_dir): templates replay
-  // from disk through the TemplateCache's store hook, and the run-wide
-  // ClauseDb is seeded with the previous run's strengthenings (the "one
-  // shard" of the unsharded scheduler, keyed by the full property set).
-  // Loaded cubes are ordinary seed candidates — engines re-validate them —
-  // so a stale or corrupted cache degrades to a cold run.
-  std::unique_ptr<persist::PersistCache> cache;
-  std::uint64_t fp = 0;
-  std::uint64_t sig = 0;
-  if (!opts_.engine.cache_dir.empty()) {
-    try {
-      cache = std::make_unique<persist::PersistCache>(opts_.engine.cache_dir);
-    } catch (const std::exception& e) {
-      JAVER_LOG(Info) << "sched: warm-start cache unusable, running cold: "
-                      << e.what();
-    }
-  }
-  if (cache) {
-    cache->set_trace(sink);
-    cache->set_profile(obs::ProfileSink(opts_.engine.profiler));
-    templates.attach_store(cache.get());
-    if (opts_.engine.clause_reuse) {
-      fp = aig::fingerprint(ts_.aig());
-      std::vector<std::size_t> all(ts_.num_properties());
-      std::iota(all.begin(), all.end(), std::size_t{0});
-      sig = persist::index_set_signature(std::move(all));
-      if (auto cubes = cache->load_clause_db(ts_, fp, sig)) db.add(*cubes);
-    }
-  }
-
-  std::vector<std::unique_ptr<PropertyTask>> tasks;
-  for (std::size_t p : resolve_order()) {
-    tasks.push_back(std::make_unique<PropertyTask>(
-        ts_, p, assumptions_for(p), opts_.engine, local));
-    tasks.back()->attach_templates(&templates);
-  }
-
-  ClauseDb* db_ptr = &db;  // tasks gate on clause_reuse themselves
-  const double total_limit = opts_.engine.total_time_limit;
-  auto out_of_time = [&] {
-    return total_limit > 0 && total.seconds() >= total_limit;
-  };
-
-  WorkerPool pool(effective_threads());
-  pool.set_observability(sink, metrics);
-
-  // Simulation prefilter (mp/simfilter): before any SAT work, batched
-  // random simulation falsifies shallow properties — each kill carries a
-  // counterexample the witness-checker oracle certified, so closing the
-  // task here is exactly as sound as closing it from an engine. Full mode
-  // additionally exports near-miss prefix seeds into the hybrid BMC sweep.
-  std::vector<simfilter::NearMissSeed> seeds;
-  if (opts_.engine.sim_filter.mode != simfilter::SimFilterMode::Off) {
-    simfilter::SimFilter filter(ts_, opts_.engine.sim_filter, local,
-                                opts_.engine.tracer, metrics);
-    std::vector<std::size_t> targets;
-    for (auto& task : tasks) targets.push_back(task->prop());
-    filter.run(targets, &pool);
-    for (const simfilter::SimKill& k : filter.kills()) {
-      for (auto& task : tasks) {
-        if (task->prop() == k.prop && task->open()) {
-          task->resolve_fails(k.cex, k.depth);
-        }
-      }
-    }
-    seeds = filter.take_seeds();
-    result.sim_stats = filter.stats();
-  }
-
-  if (opts_.dispatch == DispatchPolicy::RunToCompletion) {
-    // With one thread the pool drains on the caller in index order, so
-    // this is also the classic sequential separate/JA loop.
-    pool.run(tasks.size(), [&](std::size_t i) {
-      if (out_of_time()) return;  // stays Unknown
-      while (tasks[i]->open()) tasks[i]->run_slice(TaskBudget{}, db_ptr);
-    });
-  } else {  // HybridBmcIc3
-    BmcSweep sweep(ts_, opts_, local);
-    sweep.add_near_miss_seeds(std::move(seeds));
-    std::vector<PropertyTask*> task_ptrs;
-    for (auto& task : tasks) task_ptrs.push_back(task.get());
-    const TaskBudget slice{opts_.ic3_slice_seconds,
-                           opts_.ic3_slice_conflicts};
-    int round = 0;
-    while (!out_of_time()) {
-      const std::uint64_t round_begin = sink.begin();
-      double remaining =
-          total_limit > 0 ? total_limit - total.seconds() : 0.0;
-      try {
-        sweep.sweep(task_ptrs, remaining);
-      } catch (const std::exception& e) {
-        // The sweep runs on the caller thread outside any task's
-        // isolation boundary; quarantine it and let the IC3 slices
-        // finish the run alone.
-        JAVER_LOG(Info) << "sched: BMC sweep failed, disabling: "
-                        << e.what();
-        sweep.disable();
-        if (metrics != nullptr) metrics->add("fault.caught");
-        sink.instant("fault", "sweep_failure", round);
-      }
-
-      std::vector<std::size_t> open;
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (tasks[i]->open()) open.push_back(i);
-      }
-      if (open.empty()) break;
-      if (out_of_time()) break;
-      pool.run(open.size(), [&](std::size_t i) {
-        tasks[open[i]]->run_slice(slice, db_ptr);
-      });
-      if (metrics != nullptr) {
-        metrics->add("sched.rounds");
-        metrics->heartbeat(total.seconds());
-      }
-      if (sink.enabled()) {
-        sink.complete("sched", "round", round_begin, -1,
-                      "\"round\":" + std::to_string(round) +
-                          ",\"open\":" + std::to_string(open.size()));
-      }
-      round++;
-    }
-    for (auto& task : tasks) {
-      if (task->open()) task->close_unknown();
-    }
-    result.sim_stats.seed_hits = sweep.seed_hits();
-    result.sim_stats.seed_discarded = sweep.seed_discarded();
-  }
-
-  for (auto& task : tasks) {
-    result.per_property[task->prop()] = std::move(task->result());
-  }
-  if (cache) {
-    if (opts_.engine.clause_reuse && db.size() > 0) {
-      cache->store_clause_db(fp, sig, db.snapshot());
-    }
-    result.cache_stats = cache->stats();
-    if (metrics != nullptr) {
-      persist::fold_stats(*metrics, result.cache_stats);
-    }
-  }
-  result.total_seconds = total.seconds();
-  if (metrics != nullptr) {
-    // raise(): nested schedulers folding the same tracer's cumulative
-    // drop counter stay idempotent instead of double-counting.
-    if (opts_.engine.tracer != nullptr &&
-        opts_.engine.tracer->dropped_events() > 0) {
-      metrics->raise("obs.trace_dropped",
-                     opts_.engine.tracer->dropped_events());
-    }
-    result.metrics = metrics->snapshot(result.total_seconds);
-  }
-  return result;
+  // The task policies run the sharded task loop on one partition: every
+  // property in verification order, lemma exchange off, and `db` as the
+  // partition's clause database.
+  shard::ShardedOptions so;
+  so.base = opts_;
+  so.exchange = exchange::ExchangeMode::Off;
+  const std::vector<std::size_t> order = resolve_order();
+  return shard::ShardedScheduler(ts_, std::move(so)).run_tasks(&db, &order);
 }
 
 MultiResult Scheduler::run_joint() {

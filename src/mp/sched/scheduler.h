@@ -1,8 +1,13 @@
-// Scheduler: the one orchestrator behind every verification mode. It owns
-// the PropertyTask pool, the ClauseDb plumbing, the worker pool, and the
-// engines; the four public verifier classes (SeparateVerifier, JaVerifier,
-// JointVerifier, ParallelJaVerifier) are thin policy presets over it, and
-// the hybrid policy is only expressible here.
+// Scheduler: the policy front end every verification mode goes through;
+// the four public verifier classes (SeparateVerifier, JaVerifier,
+// JointVerifier, ParallelJaVerifier) are thin presets over it.
+//
+// There is one task loop, shard::ShardedScheduler, and Scheduler is its
+// one-partition entry: RunToCompletion and HybridBmcIc3 runs hand it every
+// property in verification order as a single shard, with lemma exchange
+// off, the caller's ClauseDb as the shard's database, and no shard tag on
+// trace, profile or progress output. JointAggregate runs here, and
+// ShardedScheduler reuses it per cluster.
 //
 // Policies:
 //  * RunToCompletion — each property gets one engine run bounded by its
@@ -81,10 +86,8 @@ class Scheduler {
   std::vector<std::size_t> assumptions_for(std::size_t prop) const;
 
  private:
-  MultiResult run_tasks(ClauseDb& db);  // RunToCompletion + HybridBmcIc3
-  MultiResult run_joint();              // JointAggregate
+  MultiResult run_joint();  // JointAggregate
   std::vector<std::size_t> resolve_order() const;
-  unsigned effective_threads() const;
 
   const ts::TransitionSystem& ts_;
   SchedulerOptions opts_;

@@ -63,7 +63,8 @@ MultiResult ShardedScheduler::run(ClauseDb& db) {
   return run_tasks(&db);
 }
 
-MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
+MultiResult ShardedScheduler::run_tasks(
+    ClauseDb* external, const std::vector<std::size_t>* partition) {
   Timer total;
   MultiResult result;
   result.per_property.resize(ts_.num_properties());
@@ -72,10 +73,11 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
   const obs::TraceSink sink(opts_.base.engine.tracer);
   obs::MetricsRegistry* metrics = opts_.base.engine.metrics;
 
-  // Fault injection (src/fault): one injector for the whole sharded run,
+  // Fault injection (src/fault): one injector for the whole run,
   // installed before any pool/task/sweep exists so the scope outlives
   // every instrumented call path. A malformed plan throws here (config
-  // error, not a fault to isolate).
+  // error, not a fault to isolate). First-wins semantics make a nested
+  // scheduler under an injected outer run a no-op.
   std::unique_ptr<fault::FaultInjector> injector;
   if (!opts_.base.engine.fault_plan.empty()) {
     injector = std::make_unique<fault::FaultInjector>(
@@ -87,6 +89,7 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
   const bool local = opts_.base.proof_mode == sched::ProofMode::Local;
   const bool hybrid =
       opts_.base.dispatch == sched::DispatchPolicy::HybridBmcIc3;
+  const bool sharded = partition == nullptr;
 
   sched::WorkerPool pool(effective_threads());
   pool.set_observability(sink, metrics);
@@ -103,26 +106,34 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
     filter = std::make_unique<simfilter::SimFilter>(
         ts_, opts_.base.engine.sim_filter, local, opts_.base.engine.tracer,
         metrics);
-    std::vector<std::size_t> targets(ts_.num_properties());
-    std::iota(targets.begin(), targets.end(), std::size_t{0});
-    filter->run(targets, &pool);
+    std::vector<std::size_t> all(ts_.num_properties());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    filter->run(sharded ? all : *partition, &pool);
     seeds = filter->take_seeds();
     result.sim_stats = filter->stats();
     copts.signatures = filter->signatures();
   }
 
-  std::size_t sig_merges = 0;
-  auto clusters = make_clusters(copts, &sig_merges);
-  num_shards_ = clusters.size();
-  result.sim_stats.signature_merges = sig_merges;
-  if (metrics != nullptr && sig_merges > 0) {
-    metrics->add("sim.signature_merges", sig_merges);
+  std::vector<std::vector<std::size_t>> clusters;
+  if (sharded) {
+    std::size_t sig_merges = 0;
+    clusters = make_clusters(copts, &sig_merges);
+    result.sim_stats.signature_merges = sig_merges;
+    if (metrics != nullptr && sig_merges > 0) {
+      metrics->add("sim.signature_merges", sig_merges);
+    }
+  } else {
+    clusters.push_back(*partition);
   }
+  num_shards_ = clusters.size();
 
   exchange::LemmaBus bus(clusters.size(), opts_.exchange);
   bus.set_trace(sink);
-  ShardedClauseDb dbs(clusters.size());
-  if (external != nullptr && opts_.base.engine.clause_reuse) {
+  // Clustered shards each own a ClauseDb, seeded from the caller's and
+  // merged back into it after the run; one partition works in the
+  // caller's database directly.
+  ShardedClauseDb dbs(sharded ? clusters.size() : 0);
+  if (sharded && external != nullptr && opts_.base.engine.clause_reuse) {
     dbs.seed_all(external->snapshot());
   }
   // One template memo for the whole run, shared by every shard's tasks:
@@ -133,15 +144,50 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
   // Thread-safe; the work-stealing pool hits it concurrently.
   cnf::TemplateCache templates(ts_);
 
+  // One shard per cluster: its own task pool, ClauseDb, and (for the
+  // hybrid policy) its own shared-unrolling BMC sweep. `tag` is the
+  // shard id on trace events, profile slots and progress cells, -1 for
+  // the one untagged partition.
+  struct Shard {
+    std::size_t id = 0;
+    int tag = -1;
+    ClauseDb* db = nullptr;
+    std::uint64_t persist_key = 0;
+    std::vector<std::unique_ptr<sched::PropertyTask>> tasks;
+    std::unique_ptr<sched::BmcSweep> sweep;
+    exchange::LemmaBus::Cursor bmc_cursor;
+  };
+  std::vector<Shard> shards(clusters.size());
+  for (std::size_t i = 0; i < clusters.size(); ++i) {
+    Shard& s = shards[i];
+    s.id = i;
+    s.tag = sharded ? static_cast<int>(i) : -1;
+    s.db = sharded ? &dbs.shard(i) : external;
+    for (std::size_t p : clusters[i]) {
+      auto task = std::make_unique<sched::PropertyTask>(
+          ts_, p,
+          local ? sched::local_assumptions(ts_, p)
+                : std::vector<std::size_t>{},
+          opts_.base.engine, local);
+      if (bus.enabled()) task->attach_exchange(&bus, i);
+      task->attach_templates(&templates);
+      task->set_shard_tag(s.tag);
+      s.tasks.push_back(std::move(task));
+    }
+    if (hybrid) {
+      s.sweep = std::make_unique<sched::BmcSweep>(ts_, opts_.base, local);
+      s.sweep->set_trace_shard(s.tag);
+    }
+  }
+
   // Warm-start persistence (EngineOptions::cache_dir): the shared
   // template replays from disk, and every shard's ClauseDb is seeded from
-  // the previous run's snapshot for the same (design, cluster-member-set)
-  // key, so an unchanged design with unchanged clustering starts each
-  // shard from its proven invariants. Engines re-validate every seeded
-  // cube, so cache corruption can only cost warmth, never soundness.
+  // the previous run's snapshot for the same (design, member-set) key, so
+  // an unchanged design with unchanged clustering starts each shard from
+  // its proven invariants. Engines re-validate every seeded cube, so
+  // cache corruption can only cost warmth, never soundness.
   std::unique_ptr<persist::PersistCache> cache;
   std::uint64_t fp = 0;
-  std::vector<std::uint64_t> sigs(clusters.size(), 0);
   if (!opts_.base.engine.cache_dir.empty()) {
     try {
       cache =
@@ -157,43 +203,12 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
     templates.attach_store(cache.get());
     if (opts_.base.engine.clause_reuse) {
       fp = aig::fingerprint(ts_.aig());
-      for (std::size_t i = 0; i < clusters.size(); ++i) {
-        sigs[i] = persist::index_set_signature(clusters[i]);
-        if (auto cubes = cache->load_clause_db(ts_, fp, sigs[i])) {
-          dbs.import_shard(i, *cubes);
+      for (Shard& s : shards) {
+        s.persist_key = persist::index_set_signature(clusters[s.id]);
+        if (auto cubes = cache->load_clause_db(ts_, fp, s.persist_key)) {
+          s.db->add(*cubes);
         }
       }
-    }
-  }
-
-  // One shard per cluster: its own task pool, ClauseDb shard, and (for
-  // the hybrid policy) its own shared-unrolling BMC sweep.
-  struct Shard {
-    std::size_t id = 0;
-    ClauseDb* db = nullptr;
-    std::vector<std::unique_ptr<sched::PropertyTask>> tasks;
-    std::unique_ptr<sched::BmcSweep> sweep;
-    exchange::LemmaBus::Cursor bmc_cursor;
-  };
-  std::vector<Shard> shards(clusters.size());
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    Shard& s = shards[i];
-    s.id = i;
-    s.db = &dbs.shard(i);
-    for (std::size_t p : clusters[i]) {
-      auto task = std::make_unique<sched::PropertyTask>(
-          ts_, p,
-          local ? sched::local_assumptions(ts_, p)
-                : std::vector<std::size_t>{},
-          opts_.base.engine, local);
-      if (bus.enabled()) task->attach_exchange(&bus, i);
-      task->attach_templates(&templates);
-      task->set_shard_tag(static_cast<int>(i));
-      s.tasks.push_back(std::move(task));
-    }
-    if (hybrid) {
-      s.sweep = std::make_unique<sched::BmcSweep>(ts_, opts_.base, local);
-      s.sweep->set_trace_shard(static_cast<int>(i));
     }
   }
 
@@ -261,13 +276,16 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
                          under.begin(), under.end());
   };
 
-  if (!hybrid) {  // RunToCompletion: every task drains on the pool
+  if (!hybrid) {
+    // RunToCompletion: every task drains on the pool. With one thread the
+    // pool drains on the caller in item order, so one partition is the
+    // classic sequential separate/JA loop.
     std::vector<std::pair<Shard*, sched::PropertyTask*>> items;
     for (Shard& s : shards) {
       for (auto& t : s.tasks) items.emplace_back(&s, t.get());
     }
     pool.run(items.size(), [&](std::size_t i) {
-      if (out_of_time()) return;  // stays Unknown
+      if (out_of_time()) return;  // closed as Unknown below
       auto [s, t] = items[i];
       while (t->open()) t->run_slice(sched::TaskBudget{}, s->db);
     });
@@ -331,8 +349,7 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
                           << ": BMC sweep failed, disabling: " << e.what();
           s.sweep->disable();
           if (metrics != nullptr) metrics->add("fault.caught");
-          sink.with_shard(static_cast<int>(s.id))
-              .instant("fault", "sweep_failure", round);
+          sink.with_shard(s.tag).instant("fault", "sweep_failure", round);
         }
       });
 
@@ -372,14 +389,14 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
     }
   }
 
-  if (external != nullptr && opts_.base.engine.clause_reuse) {
+  if (sharded && external != nullptr && opts_.base.engine.clause_reuse) {
     external->add(dbs.merged_snapshot());
   }
   if (cache) {
     if (opts_.base.engine.clause_reuse) {
-      for (std::size_t i = 0; i < clusters.size(); ++i) {
-        std::vector<ts::Cube> snap = dbs.shard_snapshot(i);
-        if (!snap.empty()) cache->store_clause_db(fp, sigs[i], snap);
+      for (const Shard& s : shards) {
+        std::vector<ts::Cube> snap = s.db->snapshot();
+        if (!snap.empty()) cache->store_clause_db(fp, s.persist_key, snap);
       }
     }
     result.cache_stats = cache->stats();
@@ -388,10 +405,13 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
     }
   }
   exchange_stats_ = bus.stats();
-  result.exchange_per_shard.reserve(bus.num_shards());
-  for (std::size_t i = 0; i < bus.num_shards(); ++i) {
-    result.exchange_per_shard.push_back(bus.channel_stats(i));
+  if (sharded) {
+    result.exchange_per_shard.reserve(bus.num_shards());
+    for (std::size_t i = 0; i < bus.num_shards(); ++i) {
+      result.exchange_per_shard.push_back(bus.channel_stats(i));
+    }
   }
+  // Zero deltas register no key, so a run without exchange adds none.
   if (metrics != nullptr) {
     metrics->add("exchange.published", exchange_stats_.published);
     metrics->add("exchange.duplicates", exchange_stats_.duplicates);
@@ -403,6 +423,8 @@ MultiResult ShardedScheduler::run_tasks(ClauseDb* external) {
   }
   result.total_seconds = total.seconds();
   if (metrics != nullptr) {
+    // raise(): nested schedulers folding the same tracer's cumulative
+    // drop counter stay idempotent instead of double-counting.
     if (opts_.base.engine.tracer != nullptr &&
         opts_.base.engine.tracer->dropped_events() > 0) {
       metrics->raise("obs.trace_dropped",

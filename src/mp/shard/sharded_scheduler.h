@@ -1,12 +1,16 @@
-// ShardedScheduler: cluster-sharded orchestration on top of the property
-// scheduler (mp/sched). `cluster_properties` partitions the properties by
-// cone similarity; every cluster becomes a *shard* owning its own
-// PropertyTask pool, its own ClauseDb shard, and (for the hybrid policy)
-// its own shared-unrolling BmcSweep, so structurally related properties
-// share work and unrelated ones never contend for it. Shards are
-// load-balanced across the work-stealing WorkerPool in rounds: first one
-// pool pass runs every live shard's BMC sweep, then a second pass slices
-// every open IC3 task — tasks of a slow shard never hold up the rest.
+// ShardedScheduler: the one task loop. Every RunToCompletion and
+// HybridBmcIc3 run goes through it — sched::Scheduler hands it a single
+// partition (every property in verification order, lemma exchange off),
+// and the sharded entry points below cluster the properties first.
+//
+// `cluster_properties` partitions the properties by cone similarity;
+// every cluster becomes a *shard* owning its own PropertyTask pool, its
+// own ClauseDb shard, and (for the hybrid policy) its own shared-unrolling
+// BmcSweep, so structurally related properties share work and unrelated
+// ones never contend for it. Shards are load-balanced across the
+// work-stealing WorkerPool in rounds: first one pool pass runs every live
+// shard's BMC sweep, then a second pass slices every open IC3 task —
+// tasks of a slow shard never hold up the rest.
 //
 // The shards are stitched together by the LemmaBus (mp/exchange): a
 // sweep's learned prefix units seed its shard's IC3 tasks' F_inf (after
@@ -67,7 +71,17 @@ class ShardedScheduler {
   std::size_t num_shards() const { return num_shards_; }
 
  private:
-  MultiResult run_tasks(ClauseDb* external);
+  // Scheduler::run drives its task policies through run_tasks.
+  friend class sched::Scheduler;
+
+  // The task loop (RunToCompletion + HybridBmcIc3). With `partition` null
+  // the properties are clustered into tagged shards whose ClauseDbs are
+  // seeded from `external` and merged back into it. Otherwise
+  // `*partition` is the one untagged shard (trace, profile and progress
+  // shard -1, no exchange_per_shard) and `external`, which must be
+  // non-null, serves as its ClauseDb directly.
+  MultiResult run_tasks(ClauseDb* external,
+                        const std::vector<std::size_t>* partition = nullptr);
   MultiResult run_joint();
   unsigned effective_threads() const;
   // Cluster partition under `copts` (the caller may have added simulation

@@ -10,6 +10,7 @@
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
 #include "mp/sched/scheduler.h"
+#include "obs/metrics.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
 #include "ts/trace.h"
@@ -183,6 +184,27 @@ TEST(Scheduler, RespectsTotalTimeLimit) {
   EXPECT_LT(timer.seconds(), 5.0);
   // Every property still gets a (possibly Unknown) verdict slot.
   EXPECT_EQ(r.per_property.size(), ts.num_properties());
+
+  // A limit that has expired before the first task starts: both task
+  // policies close every task as Unknown, and count each close.
+  for (DispatchPolicy dispatch :
+       {DispatchPolicy::RunToCompletion, DispatchPolicy::HybridBmcIc3}) {
+    SCOPED_TRACE(dispatch == DispatchPolicy::RunToCompletion
+                     ? "run-to-completion"
+                     : "hybrid");
+    obs::MetricsRegistry metrics;
+    SchedulerOptions expired = hybrid_opts();
+    expired.dispatch = dispatch;
+    expired.engine.total_time_limit = 1e-9;
+    expired.engine.metrics = &metrics;
+    MultiResult e = Scheduler(ts, expired).run();
+    ASSERT_EQ(e.per_property.size(), ts.num_properties());
+    for (std::size_t p = 0; p < ts.num_properties(); ++p) {
+      EXPECT_EQ(e.per_property[p].verdict, PropertyVerdict::Unknown)
+          << "P" << p;
+    }
+    EXPECT_EQ(metrics.counter("task.closed"), ts.num_properties());
+  }
 }
 
 // --- IC3 suspend/resume ----------------------------------------------------
