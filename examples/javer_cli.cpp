@@ -6,14 +6,17 @@
 // Exit code: 0 all properties hold, 1 some property fails, 2 unsolved
 // properties remain, 3 usage/input error or failed certification.
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,7 +30,6 @@
 #include "obs/trace.h"
 #include "ic3/certify.h"
 #include "persist/persist.h"
-#include "mp/clustering.h"
 #include "mp/ja_verifier.h"
 #include "mp/joint_verifier.h"
 #include "mp/ordering.h"
@@ -64,8 +66,8 @@ struct CliOptions {
   bool cache_gc = false;     // run cache eviction instead of verifying
   unsigned long cache_max_bytes = 0;    // --cache-gc size cap; 0 = none
   double cache_max_age_days = 0.0;      // --cache-gc age cap; 0 = none
-  double cluster_threshold = 0.5;     // sharded/clustered: min similarity
-  std::size_t max_cluster_size = 64;  // sharded/clustered: shard size cap
+  double cluster_threshold = 0.5;     // sharded: min similarity
+  std::size_t max_cluster_size = 64;  // sharded: shard size cap
   javer::mp::exchange::ExchangeMode lemma_exchange =
       javer::mp::exchange::ExchangeMode::Units;  // sharded only
   javer::ic3::Ic3SolverMode ic3_solver =
@@ -91,12 +93,12 @@ void usage(std::FILE* out) {
 "usage: javer_cli [options] <design.aig|aag>\n"
 "\n"
 "A multi-property model checker implementing the paper's JA-verification\n"
-"(\"just assume\") framework: every mode is a policy preset of one\n"
-"property scheduler (src/mp/sched/).\n"
+"(\"just assume\") framework: every mode but joint is a policy preset of\n"
+"one property scheduler (src/mp/sched/).\n"
 "\n"
 "engine selection:\n"
 "  --engine NAME        separate | ja | joint | parallel | hybrid |\n"
-"                       clustered | sharded   (default: ja)\n"
+"                       sharded               (default: ja)\n"
 "                         separate  global proofs, one property at a time\n"
 "                         ja        local proofs + clause re-use (paper's\n"
 "                                   headline algorithm)\n"
@@ -105,8 +107,6 @@ void usage(std::FILE* out) {
 "                         parallel  JA on a work-stealing worker pool\n"
 "                         hybrid    shared BMC falsification sweeps\n"
 "                                   interleaved with IC3 proof slices\n"
-"                         clustered cone-similarity clusters, verified\n"
-"                                   jointly per cluster\n"
 "                         sharded   one hybrid BMC+IC3 shard per cluster\n"
 "                                   (own task pool + clause-db shard),\n"
 "                                   shards balanced across the worker\n"
@@ -116,13 +116,13 @@ void usage(std::FILE* out) {
 "\n"
 "resource limits:\n"
 "  --time-limit SEC     per property (separate/ja/parallel/hybrid/\n"
-"                       sharded) or total (joint/clustered) (default: 60)\n"
+"                       sharded) or total (joint)     (default: 60)\n"
 "  --threads N          worker threads for parallel/hybrid/sharded;\n"
 "                       0 = all hardware threads      (default: 0)\n"
 "  --bmc-depth N        hybrid/sharded: cap on the shared BMC unrolling\n"
 "                       depth                         (default: 64)\n"
 "\n"
-"simulation prefilter (not for joint/clustered):\n"
+"simulation prefilter (not for joint):\n"
 "  --sim-prefilter M    off | falsify | full          (default: off)\n"
 "                         falsify  batched 64-wide random simulation\n"
 "                                  before any SAT work; every hit is\n"
@@ -150,13 +150,13 @@ void usage(std::FILE* out) {
 "  --cache-max-age-days D --cache-gc: evict entries unused for more than\n"
 "                         D days (0 = none)\n"
 "\n"
-"sharded/clustered knobs:\n"
+"sharded knobs:\n"
 "  --cluster-threshold F  minimum Jaccard cone similarity for two\n"
 "                         properties to share a cluster, in [0,1]\n"
 "                         (default: 0.5)\n"
 "  --max-cluster-size N   cap on properties per cluster; oversized\n"
 "                         would-be clusters split    (default: 64)\n"
-"  --lemma-exchange M     sharded only: off | units | all\n"
+"  --lemma-exchange M     off | units | all\n"
 "                           off    no cross-engine traffic\n"
 "                           units  BMC prefix units seed sibling IC3\n"
 "                                  tasks' F_inf (re-validated in-engine)\n"
@@ -181,7 +181,7 @@ void usage(std::FILE* out) {
 "  --etf I              mark property I Expected-To-Fail; repeatable\n"
 "                       (ETF properties are never assumed)\n"
 "\n"
-"fault injection (resilience testing; not for joint/clustered):\n"
+"fault injection (resilience testing; not for joint):\n"
 "  --fault-inject SPEC  deterministic fault plan, ';'-separated entries:\n"
 "                         seed=N            plan RNG seed (default: 1)\n"
 "                         SITE[@N][+][:OPTS] inject at SITE's Nth hit\n"
@@ -207,23 +207,22 @@ void usage(std::FILE* out) {
 "                       encode+simplify pass and seeds shards from the\n"
 "                       previous run's invariants (everything loaded is\n"
 "                       re-validated; corrupt caches degrade to a cold\n"
-"                       run). Not supported for joint/clustered engines.\n"
+"                       run). Not supported for the joint engine.\n"
 "  --trace-out FILE     write a Chrome trace-event JSON timeline of the\n"
 "                       run (scheduler rounds, per-slice IC3 spans, BMC\n"
 "                       sweeps, lemma exchange, persist I/O) — load it in\n"
-"                       chrome://tracing or https://ui.perfetto.dev. Not\n"
-"                       supported for the clustered engine.\n"
+"                       chrome://tracing or https://ui.perfetto.dev\n"
 "  --metrics-out FILE   write the run's counter registry as JSONL: one\n"
 "                       \"heartbeat\" snapshot per scheduler round plus a\n"
-"                       \"final\" line. Not supported for clustered.\n"
+"                       \"final\" line\n"
 "  --profile-out FILE   write per-(phase, shard, property) latency\n"
 "                       histograms (IC3 SAT queries by kind, BMC solves,\n"
 "                       template replay vs cold encode, persist I/O) as\n"
-"                       JSON. Not supported for clustered.\n"
+"                       JSON\n"
 "  --profile-folded FILE  same data as folded-stack lines for\n"
 "                       flamegraph.pl / speedscope\n"
 "\n"
-"run-health monitor (not for clustered):\n"
+"run-health monitor:\n"
 "  --progress[=SECS]    print a one-line progress report on stderr every\n"
 "                       SECS seconds (default: 5) plus a final summary\n"
 "  --progress-verbose   progress plus per-task rows, stalest first\n"
@@ -253,11 +252,13 @@ bool parse_number(const char* text, double& out) {
 }
 
 bool parse_number(const char* text, unsigned long& out) {
-  // strtoul silently wraps negative input ("-1" -> ULONG_MAX); reject it.
+  // strtoul silently wraps negative input ("-1" -> ULONG_MAX) and clamps
+  // input past ULONG_MAX (flagged by ERANGE); reject both.
   if (text[0] == '-') return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtoul(text, &end, 10);
-  return end != text && *end == '\0';
+  return end != text && *end == '\0' && errno != ERANGE;
 }
 
 bool parse_args(int argc, char** argv, CliOptions& opts) {
@@ -280,6 +281,22 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       }
       return true;
     };
+    // A number for a field narrower than unsigned long: a value the field
+    // cannot hold is a usage error, not a silent wrap.
+    auto next_field = [&](const char* what, auto& field) {
+      using Field = std::remove_reference_t<decltype(field)>;
+      constexpr unsigned long kMax = std::numeric_limits<Field>::max();
+      unsigned long n = 0;
+      if (!next_number(what, n)) return false;
+      if (n > kMax) {
+        std::fprintf(stderr,
+                     "javer_cli: %s wants a number in [0, %lu], got '%lu'\n",
+                     what, kMax, n);
+        return false;
+      }
+      field = static_cast<Field>(n);
+      return true;
+    };
     if (arg == "--engine" || arg == "--mode") {
       const char* v = next(arg.c_str());
       if (v == nullptr) return false;
@@ -294,13 +311,9 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
         return false;
       }
     } else if (arg == "--threads") {
-      unsigned long n = 0;
-      if (!next_number("--threads", n)) return false;
-      opts.threads = static_cast<unsigned>(n);
+      if (!next_field("--threads", opts.threads)) return false;
     } else if (arg == "--bmc-depth") {
-      unsigned long n = 0;
-      if (!next_number("--bmc-depth", n)) return false;
-      opts.bmc_depth = static_cast<int>(n);
+      if (!next_field("--bmc-depth", opts.bmc_depth)) return false;
     } else if (arg == "--sim-prefilter") {
       const char* v = next("--sim-prefilter");
       if (v == nullptr) return false;
@@ -313,13 +326,9 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       }
       opts.sim_prefilter = v;
     } else if (arg == "--sim-depth") {
-      unsigned long n = 0;
-      if (!next_number("--sim-depth", n)) return false;
-      opts.sim_depth = static_cast<int>(n);
+      if (!next_field("--sim-depth", opts.sim_depth)) return false;
     } else if (arg == "--sim-patterns") {
-      unsigned long n = 0;
-      if (!next_number("--sim-patterns", n)) return false;
-      opts.sim_patterns = static_cast<int>(n);
+      if (!next_field("--sim-patterns", opts.sim_patterns)) return false;
     } else if (arg == "--seed") {
       if (!next_number("--seed", opts.seed)) return false;
     } else if (arg == "--fault-inject") {
@@ -581,23 +590,8 @@ int main(int argc, char** argv) {
     return 3;
   }
 
-  if ((!cli.trace_out.empty() || !cli.metrics_out.empty() ||
-       !cli.profile_out.empty() || !cli.profile_folded.empty() ||
-       cli.progress || cli.watchdog_preempt) &&
-      cli.engine == "clustered") {
-    // ClusteredJointOptions predates EngineOptions and has no
-    // observability plumbing; fail loudly instead of writing empty files
-    // (or monitoring a run that publishes nothing).
-    std::fprintf(stderr,
-                 "javer_cli: --trace-out/--metrics-out/--profile-out/"
-                 "--profile-folded/--progress/--watchdog-preempt are not "
-                 "supported with --engine clustered\n");
-    return 3;
-  }
-
-  if (cli.sim_prefilter != "off" &&
-      (cli.engine == "joint" || cli.engine == "clustered")) {
-    // The aggregate policies have no per-property tasks for the filter's
+  if (cli.sim_prefilter != "off" && cli.engine == "joint") {
+    // The aggregate engine has no per-property tasks for the filter's
     // kills/seeds to land on.
     std::fprintf(stderr,
                  "javer_cli: --sim-prefilter is not supported with --engine "
@@ -606,9 +600,9 @@ int main(int argc, char** argv) {
   }
 
   if (!cli.fault_inject.empty()) {
-    if (cli.engine == "joint" || cli.engine == "clustered") {
-      // The aggregate policies have no per-property tasks to quarantine
-      // and retry; a fault there still aborts the whole conjunction.
+    if (cli.engine == "joint") {
+      // The aggregate engine has no per-property tasks to quarantine and
+      // retry; a fault there still aborts the whole conjunction.
       std::fprintf(stderr,
                    "javer_cli: --fault-inject is not supported with --engine "
                    "%s\n", cli.engine.c_str());
@@ -625,8 +619,8 @@ int main(int argc, char** argv) {
   }
 
   if (!cli.cache_dir.empty()) {
-    if (cli.engine == "joint" || cli.engine == "clustered") {
-      // The aggregate policies build a fresh per-iteration TS and export
+    if (cli.engine == "joint") {
+      // The aggregate engine builds a fresh per-iteration TS and exports
       // no per-property invariants, so there is nothing to persist.
       std::fprintf(stderr,
                    "javer_cli: --cache-dir is not supported with --engine "
@@ -717,8 +711,8 @@ int main(int argc, char** argv) {
   sim_opts.seed = cli.seed;
 
   // One engine configuration for every engine branch. The aggregate
-  // engines read only the fields that apply to them (the up-front checks
-  // reject the flags they cannot honor).
+  // engine reads only the fields that apply to it (the up-front checks
+  // reject the flags it cannot honor).
   mp::sched::EngineOptions engine;
   engine.time_limit_per_property = cli.time_limit;
   engine.clause_reuse = cli.reuse;
@@ -751,7 +745,7 @@ int main(int argc, char** argv) {
     mp::SeparateOptions opts{engine, /*local_proofs=*/false};
     result = mp::SeparateVerifier(ts, opts).run(db);
   } else if (cli.engine == "joint") {
-    mp::JointOptions opts{engine, /*time_limit_per_iteration=*/0.0};
+    mp::JointOptions opts{engine};
     opts.total_time_limit = cli.time_limit;  // bounds the whole run
     result = mp::JointVerifier(ts, opts).run();
   } else if (cli.engine == "parallel") {
@@ -781,15 +775,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(xs.imported),
           static_cast<unsigned long long>(xs.rejected), xs.hit_rate());
     }
-  } else if (cli.engine == "clustered") {
-    mp::ClusteredJointOptions opts;
-    opts.total_time_limit = cli.time_limit;
-    opts.simplify = cli.simplify;
-    opts.ic3_solver = cli.ic3_solver;
-    opts.ic3_use_template = cli.ic3_template;
-    opts.clustering.min_similarity = cli.cluster_threshold;
-    opts.clustering.max_cluster_size = cli.max_cluster_size;
-    result = mp::ClusteredJointVerifier(ts, opts).run();
   } else {
     std::fprintf(stderr, "javer_cli: unknown engine '%s'\n",
                  cli.engine.c_str());
@@ -937,15 +922,13 @@ int main(int argc, char** argv) {
       }
       if (pr.invariant.empty() &&
           pr.verdict == mp::PropertyVerdict::HoldsGlobally &&
-          (cli.engine == "joint" || cli.engine == "clustered")) {
-        continue;  // joint modes do not export per-property certificates
+          cli.engine == "joint") {
+        continue;  // joint mode does not export per-property certificates
       }
-      std::vector<std::size_t> assumed;
-      if (pr.verdict == mp::PropertyVerdict::HoldsLocally) {
-        for (std::size_t j = 0; j < ts.num_properties(); ++j) {
-          if (j != p && !ts.expected_to_fail(j)) assumed.push_back(j);
-        }
-      }
+      const std::vector<std::size_t> assumed =
+          pr.verdict == mp::PropertyVerdict::HoldsLocally
+              ? mp::sched::local_assumptions(ts, p)
+              : std::vector<std::size_t>{};
       ic3::CertificateCheck check =
           ic3::certify_strengthening(ts, p, assumed, pr.invariant);
       checked++;

@@ -155,7 +155,7 @@ std::shared_ptr<const CnfTemplate> TemplateCache::get_or_build(
   spec.props.erase(std::unique(spec.props.begin(), spec.props.end()),
                    spec.props.end());
   // The cache's own design gets the precomputed fingerprint; a foreign TS
-  // (JointAggregate's per-iteration aggregate, a caller sharing one cache
+  // (JointVerifier's per-iteration aggregate, a caller sharing one cache
   // across designs) is hashed per call — trivial next to an encode.
   const std::uint64_t fp =
       (&ts == &ts_) ? fingerprint_ : aig::fingerprint(ts.aig());

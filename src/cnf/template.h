@@ -156,7 +156,7 @@ struct TemplateCacheStats {
 // coincide (all non-ETF local-proof targets) encode the transition
 // relation once per process instead of once per frame per property. The
 // fingerprint in the key means a cache handed to engines checking a
-// *different* design (e.g. JointAggregate's per-iteration aggregate TS)
+// *different* design (e.g. JointVerifier's per-iteration aggregate TS)
 // can never replay the wrong template: each design gets its own entries.
 class TemplateCache {
  public:

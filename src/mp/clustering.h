@@ -1,17 +1,15 @@
-// Structure-aware property clustering — the *competing* approach the
+// Structure-aware property clustering, after the grouping approach the
 // paper's related work discusses (Cabodi/Nocco [8], Camurati et al. [10]):
-// group properties with similar cones of influence and verify each group
-// jointly. Implemented here as a baseline so the purely semantic
-// JA-verification can be compared against (and composed with) it: local
-// proofs and clause re-use apply within a cluster unchanged.
+// group properties with similar cones of influence. The sharded engine
+// (mp/shard) makes each cluster a shard with its own BMC sweep and
+// ClauseDb, so related properties share that work; local proofs and
+// clause re-use apply within a shard unchanged.
 #ifndef JAVER_MP_CLUSTERING_H
 #define JAVER_MP_CLUSTERING_H
 
 #include <cstdint>
 #include <vector>
 
-#include "ic3/solver_mode.h"
-#include "mp/report.h"
 #include "ts/transition_system.h"
 
 namespace javer::mp {
@@ -36,35 +34,6 @@ struct ClusterOptions {
 std::vector<std::vector<std::size_t>> cluster_properties(
     const ts::TransitionSystem& ts, const ClusterOptions& opts = {},
     std::size_t* signature_merges = nullptr);
-
-struct ClusteredJointOptions {
-  ClusterOptions clustering;
-  double total_time_limit = 0.0;
-  double time_limit_per_cluster = 0.0;
-  // Preprocess each IC3 context's transition-relation CNF (sat/simp/).
-  bool simplify = false;
-  // IC3 solver topology + encode-once template (ic3/solver_mode.h,
-  // cnf/template.h), forwarded to each cluster's aggregate engine.
-  ic3::Ic3SolverMode ic3_solver = ic3::Ic3SolverMode::Monolithic;
-  bool ic3_use_template = true;
-};
-
-// The grouping baseline: joint verification per cluster (each cluster's
-// aggregate property is the conjunction of its members). A thin preset
-// over the sharded scheduler (mp/shard) with JointAggregate dispatch per
-// shard and the lemma exchange off, the way the four legacy verifiers
-// are presets over the property scheduler.
-class ClusteredJointVerifier {
- public:
-  ClusteredJointVerifier(const ts::TransitionSystem& ts,
-                         ClusteredJointOptions opts = {});
-
-  MultiResult run();
-
- private:
-  const ts::TransitionSystem& ts_;
-  ClusteredJointOptions opts_;
-};
 
 }  // namespace javer::mp
 

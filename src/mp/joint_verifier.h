@@ -2,8 +2,11 @@
 // aggregate property P = P1 ∧ ... ∧ Pk with a single IC3 run. When the
 // aggregate fails, the counterexample's final state identifies a subset of
 // failed properties; those are removed and the procedure restarts on the
-// remaining conjunction (the paper's Jnt-ver script). A preset over the
-// property scheduler's JointAggregate dispatch policy.
+// remaining conjunction (the paper's Jnt-ver script). Each iteration is
+// bounded only by what is left of total_time_limit. The loop lives here,
+// not in the property scheduler: it has no per-property tasks, so the
+// clause database, sim prefilter, persistence and fault ladder of the
+// task-based modes do not apply to it.
 #ifndef JAVER_MP_JOINT_VERIFIER_H
 #define JAVER_MP_JOINT_VERIFIER_H
 
@@ -19,9 +22,7 @@ namespace javer::mp {
 // The shared engine knobs live in the sched::EngineOptions base (the
 // paper's joint runs used a 10-hour total_time_limit; clause re-use,
 // per-property limits and order do not apply to the aggregate run).
-struct JointOptions : sched::EngineOptions {
-  double time_limit_per_iteration = 0.0;  // 0 = bounded only by total
-};
+struct JointOptions : sched::EngineOptions {};
 
 class JointVerifier {
  public:

@@ -1,13 +1,13 @@
-// Scheduler: the policy front end every verification mode goes through;
-// the four public verifier classes (SeparateVerifier, JaVerifier,
-// JointVerifier, ParallelJaVerifier) are thin presets over it.
+// Scheduler: the policy front end of the per-property verification modes;
+// SeparateVerifier, JaVerifier and ParallelJaVerifier are thin presets
+// over it. (JointVerifier, the paper's Jnt-ver baseline, runs its own
+// aggregate loop: it has no per-property tasks to schedule.)
 //
 // There is one task loop, shard::ShardedScheduler, and Scheduler is its
-// one-partition entry: RunToCompletion and HybridBmcIc3 runs hand it every
-// property in verification order as a single shard, with lemma exchange
-// off, the caller's ClauseDb as the shard's database, and no shard tag on
-// trace, profile or progress output. JointAggregate runs here, and
-// ShardedScheduler reuses it per cluster.
+// one-partition entry: both policies hand it every property in
+// verification order as a single shard, with lemma exchange off, the
+// caller's ClauseDb as the shard's database, and no shard tag on trace,
+// profile or progress output.
 //
 // Policies:
 //  * RunToCompletion — each property gets one engine run bounded by its
@@ -22,9 +22,6 @@
 //    substrate) die cheaply in the BMC sweeps before IC3 spends anything
 //    on them; the surviving properties get proven by the sliced IC3
 //    engines, which keep their frames between slices.
-//  * JointAggregate — the paper's Jnt-ver baseline: one IC3 run on the
-//    conjunction of all open properties; a counterexample removes the
-//    refuted subset and the loop restarts on the rest.
 #ifndef JAVER_MP_SCHED_SCHEDULER_H
 #define JAVER_MP_SCHED_SCHEDULER_H
 
@@ -48,7 +45,6 @@ enum class ProofMode : std::uint8_t {
 enum class DispatchPolicy : std::uint8_t {
   RunToCompletion,
   HybridBmcIc3,
-  JointAggregate,
 };
 
 struct SchedulerOptions {
@@ -69,9 +65,6 @@ struct SchedulerOptions {
   // Stop sweeping after this many consecutive sweeps found nothing: the
   // open set is (probably) all-true and BMC money is better spent on IC3.
   int bmc_empty_sweeps_to_stop = 2;
-
-  // --- JointAggregate knobs ---
-  double time_limit_per_iteration = 0.0;  // 0 = bounded only by total
 };
 
 class Scheduler {
@@ -81,12 +74,7 @@ class Scheduler {
   MultiResult run();
   MultiResult run(ClauseDb& db);
 
-  // The assumption set the current proof mode gives target `prop`: every
-  // ETH property except the target for Local, empty for Global.
-  std::vector<std::size_t> assumptions_for(std::size_t prop) const;
-
  private:
-  MultiResult run_joint();  // JointAggregate
   std::vector<std::size_t> resolve_order() const;
 
   const ts::TransitionSystem& ts_;

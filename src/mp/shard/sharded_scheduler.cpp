@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "aig/aig.h"
@@ -23,11 +25,6 @@ ShardedScheduler::ShardedScheduler(const ts::TransitionSystem& ts,
                                    ShardedOptions opts)
     : ts_(ts), opts_(std::move(opts)) {}
 
-unsigned ShardedScheduler::effective_threads() const {
-  return sched::resolve_worker_count(opts_.base.num_threads,
-                                     ts_.num_properties());
-}
-
 std::vector<std::vector<std::size_t>> ShardedScheduler::make_clusters(
     const ClusterOptions& copts, std::size_t* signature_merges) const {
   auto clusters = cluster_properties(ts_, copts, signature_merges);
@@ -36,9 +33,7 @@ std::vector<std::vector<std::size_t>> ShardedScheduler::make_clusters(
     // Honor the verification order within each cluster (properties absent
     // from the order keep design order, after the ordered ones).
     std::vector<std::size_t> rank(ts_.num_properties(), order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (order[i] < rank.size()) rank[order[i]] = i;
-    }
+    for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
     for (auto& cluster : clusters) {
       std::sort(cluster.begin(), cluster.end(),
                 [&](std::size_t a, std::size_t b) {
@@ -49,22 +44,25 @@ std::vector<std::vector<std::size_t>> ShardedScheduler::make_clusters(
   return clusters;
 }
 
-MultiResult ShardedScheduler::run() {
-  if (opts_.base.dispatch == sched::DispatchPolicy::JointAggregate) {
-    return run_joint();
-  }
-  return run_tasks(nullptr);
-}
+MultiResult ShardedScheduler::run() { return run_tasks(nullptr); }
 
-MultiResult ShardedScheduler::run(ClauseDb& db) {
-  if (opts_.base.dispatch == sched::DispatchPolicy::JointAggregate) {
-    return run_joint();  // the aggregate policy takes no clause database
-  }
-  return run_tasks(&db);
-}
+MultiResult ShardedScheduler::run(ClauseDb& db) { return run_tasks(&db); }
 
 MultiResult ShardedScheduler::run_tasks(
     ClauseDb* external, const std::vector<std::size_t>* partition) {
+  // A malformed order is a config error, rejected before any work: an
+  // index past the last property would address a result slot that does
+  // not exist, and a repeated one would verify its property twice.
+  std::vector<bool> ordered(ts_.num_properties(), false);
+  for (std::size_t p : opts_.base.engine.order) {
+    if (p >= ordered.size() || ordered[p]) {
+      throw std::invalid_argument(
+          "engine order: property " + std::to_string(p) +
+          (p >= ordered.size() ? " out of range" : " repeated"));
+    }
+    ordered[p] = true;
+  }
+
   Timer total;
   MultiResult result;
   result.per_property.resize(ts_.num_properties());
@@ -91,7 +89,8 @@ MultiResult ShardedScheduler::run_tasks(
       opts_.base.dispatch == sched::DispatchPolicy::HybridBmcIc3;
   const bool sharded = partition == nullptr;
 
-  sched::WorkerPool pool(effective_threads());
+  sched::WorkerPool pool(sched::resolve_worker_count(opts_.base.num_threads,
+                                                    ts_.num_properties()));
   pool.set_observability(sink, metrics);
 
   // Simulation prefilter (mp/simfilter) runs before clustering: its kills
@@ -430,64 +429,6 @@ MultiResult ShardedScheduler::run_tasks(
       metrics->raise("obs.trace_dropped",
                      opts_.base.engine.tracer->dropped_events());
     }
-    result.metrics = metrics->snapshot(result.total_seconds);
-  }
-  return result;
-}
-
-MultiResult ShardedScheduler::run_joint() {
-  Timer total;
-  MultiResult result;
-  result.per_property.resize(ts_.num_properties());
-
-  auto clusters = make_clusters(opts_.clustering);
-  num_shards_ = clusters.size();
-  exchange_stats_ = {};
-
-  const double total_limit = opts_.base.engine.total_time_limit;
-  sched::WorkerPool pool(effective_threads());
-  std::vector<MultiResult> sub_results(clusters.size());
-  pool.run(clusters.size(), [&](std::size_t i) {
-    double remaining = 0.0;
-    if (total_limit > 0) {
-      remaining = total_limit - total.seconds();
-      if (remaining <= 0) return;  // stays Unknown
-    }
-    double shard_limit = opts_.time_limit_per_shard;
-    if (remaining > 0 && (shard_limit <= 0 || shard_limit > remaining)) {
-      shard_limit = remaining;
-    }
-
-    // Joint verification restricted to this shard: the aggregate policy
-    // on a design whose property list is the cluster.
-    aig::Aig sub = ts_.aig();
-    std::vector<aig::Property> props;
-    for (std::size_t p : clusters[i]) {
-      props.push_back(ts_.aig().properties()[p]);
-    }
-    sub.properties() = props;
-    ts::TransitionSystem sub_ts(sub);
-    sched::SchedulerOptions so = opts_.base;
-    so.num_threads = 1;  // parallelism lives at the shard level here
-    so.engine.total_time_limit = shard_limit;
-    so.engine.order.clear();  // global indices mean nothing to the sub-TS
-    // Injection is per-run, not per-sub-scheduler: global property
-    // indices in prop= filters mean nothing to the sub-TS either (the
-    // CLI rejects --fault-inject for the aggregate policies anyway).
-    so.engine.fault_plan.clear();
-    sub_results[i] = sched::Scheduler(sub_ts, so).run();
-  });
-
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    for (std::size_t j = 0; j < clusters[i].size(); ++j) {
-      if (j < sub_results[i].per_property.size()) {
-        result.per_property[clusters[i][j]] =
-            std::move(sub_results[i].per_property[j]);
-      }
-    }
-  }
-  result.total_seconds = total.seconds();
-  if (obs::MetricsRegistry* metrics = opts_.base.engine.metrics) {
     result.metrics = metrics->snapshot(result.total_seconds);
   }
   return result;

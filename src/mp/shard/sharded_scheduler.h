@@ -21,10 +21,6 @@
 // BMC-bound lemma is checked before installation, so exchange can never
 // flip a verdict (tests/test_shard.cpp proves this against exchange-off
 // oracle runs).
-//
-// ClusteredJointVerifier (mp/clustering.h) is a thin preset over this
-// class (JointAggregate dispatch per shard), the same way the four legacy
-// verifiers are presets over the Scheduler.
 #ifndef JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 #define JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 
@@ -42,17 +38,12 @@ namespace javer::mp::shard {
 
 struct ShardedOptions {
   // `base.dispatch` selects the within-shard policy: HybridBmcIc3
-  // (default here: shared BMC sweep + IC3 slices per shard),
-  // RunToCompletion, or JointAggregate (one aggregate IC3 per shard —
-  // the clustered-joint baseline). `base.num_threads` sizes the worker
-  // pool the shards' work items are balanced across; the hybrid knobs
-  // apply per shard.
+  // (default here: shared BMC sweep + IC3 slices per shard) or
+  // RunToCompletion. `base.num_threads` sizes the worker pool the shards'
+  // work items are balanced across; the hybrid knobs apply per shard.
   sched::SchedulerOptions base;
   ClusterOptions clustering;
   exchange::ExchangeMode exchange = exchange::ExchangeMode::Units;
-  // JointAggregate dispatch only: per-shard time limit (the clustered
-  // baseline's time_limit_per_cluster).
-  double time_limit_per_shard = 0.0;
 };
 
 class ShardedScheduler {
@@ -79,17 +70,17 @@ class ShardedScheduler {
   // seeded from `external` and merged back into it. Otherwise
   // `*partition` is the one untagged shard (trace, profile and progress
   // shard -1, no exchange_per_shard) and `external`, which must be
-  // non-null, serves as its ClauseDb directly.
+  // non-null, serves as its ClauseDb directly. Throws
+  // std::invalid_argument if the engine order names a property index
+  // that is out of range or repeated (a subset order is fine).
   MultiResult run_tasks(ClauseDb* external,
                         const std::vector<std::size_t>* partition = nullptr);
-  MultiResult run_joint();
-  unsigned effective_threads() const;
   // Cluster partition under `copts` (the caller may have added simulation
   // signatures to the configured options) with each cluster's members
-  // ordered by the engine order option (design order by default).
+  // ordered by the engine order option (design order by default), which
+  // run_tasks has already validated.
   std::vector<std::vector<std::size_t>> make_clusters(
-      const ClusterOptions& copts,
-      std::size_t* signature_merges = nullptr) const;
+      const ClusterOptions& copts, std::size_t* signature_merges) const;
 
   const ts::TransitionSystem& ts_;
   ShardedOptions opts_;

@@ -424,7 +424,7 @@ TEST(MonitorEndToEnd, PreemptedStalledTaskResumesWithCertifiedVerdict) {
     EXPECT_EQ(each.verdict, mp::PropertyVerdict::HoldsLocally);
   }
   ic3::CertificateCheck check = ic3::certify_strengthening(
-      ts, /*prop=*/0, sched.assumptions_for(0), pr.invariant);
+      ts, /*prop=*/0, mp::sched::local_assumptions(ts, 0), pr.invariant);
   EXPECT_TRUE(check.ok()) << check.failure;
 }
 

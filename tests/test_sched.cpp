@@ -1,15 +1,21 @@
-// Scheduler tests: verdict equivalence between every dispatch policy and
-// the explicit-state oracle (and hence the legacy verifiers, which are now
-// thin presets over the scheduler), plus IC3 suspend/resume — a
+// Scheduler tests: verdict equivalence between every dispatch policy (and
+// the joint aggregate loop) and the explicit-state oracle (and hence the
+// legacy verifiers, which are now thin presets over the scheduler),
+// verification-order validation, plus IC3 suspend/resume — a
 // budget-sliced run must reach the same verdict and a certifiable
 // strengthening as a one-shot run.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "gen/counter.h"
 #include "gen/random_design.h"
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
+#include "mp/ja_verifier.h"
+#include "mp/joint_verifier.h"
 #include "mp/sched/scheduler.h"
+#include "mp/shard/sharded_scheduler.h"
 #include "obs/metrics.h"
 #include "ref/explicit_checker.h"
 #include "test_util.h"
@@ -114,9 +120,7 @@ TEST_P(SchedPolicyTest, AllPoliciesMatchOracle) {
   // oracle exactly (a failing aggregate CEX refutes *some* failing subset,
   // so partial fail sets are a subset of the oracle's).
   {
-    SchedulerOptions so;
-    so.dispatch = DispatchPolicy::JointAggregate;
-    MultiResult r = Scheduler(ts, so).run();
+    MultiResult r = JointVerifier(ts).run();
     for (std::size_t p = 0; p < ts.num_properties(); ++p) {
       const PropertyResult& pr = r.per_property[p];
       if (pr.verdict == PropertyVerdict::FailsGlobally) {
@@ -205,6 +209,35 @@ TEST(Scheduler, RespectsTotalTimeLimit) {
     }
     EXPECT_EQ(metrics.counter("task.closed"), ts.num_properties());
   }
+}
+
+TEST(Scheduler, RejectsMalformedOrder) {
+  // Both entries to the task loop reject an order naming a property out
+  // of range or twice, instead of indexing past the results or verifying
+  // a property twice.
+  aig::Aig aig = gen::make_counter({.bits = 4, .buggy = true});
+  ts::TransitionSystem ts(aig);
+  ASSERT_EQ(ts.num_properties(), 2u);
+  for (const std::vector<std::size_t>& bad :
+       {std::vector<std::size_t>{0, 7}, std::vector<std::size_t>{0, 0, 1}}) {
+    JaOptions ja;
+    ja.order = bad;
+    EXPECT_THROW(JaVerifier(ts, ja).run(), std::invalid_argument);
+    shard::ShardedOptions sharded;
+    sharded.base.engine.order = bad;
+    EXPECT_THROW(shard::ShardedScheduler(ts, sharded).run(),
+                 std::invalid_argument);
+  }
+
+  // A subset order stays legal: only the named property is verified.
+  obs::MetricsRegistry metrics;
+  JaOptions subset;
+  subset.order = {1};
+  subset.metrics = &metrics;
+  MultiResult r = JaVerifier(ts, subset).run();
+  EXPECT_EQ(r.per_property[0].verdict, PropertyVerdict::Unknown);
+  EXPECT_NE(r.per_property[1].verdict, PropertyVerdict::Unknown);
+  EXPECT_EQ(metrics.counter("task.closed"), 1u);
 }
 
 // --- IC3 suspend/resume ----------------------------------------------------

@@ -164,7 +164,7 @@ TEST(CnfTemplate, CacheSharesOneBuildPerSpec) {
 TEST(CnfTemplate, DistinctDesignsSharingOneCacheGetDistinctTemplates) {
   // Regression (cache-keying soundness): the cache key folds the design
   // fingerprint, so a cache handed to a run that checks a *different*
-  // transition system (JointAggregate builds a fresh aggregate TS per
+  // transition system (JointVerifier builds a fresh aggregate TS per
   // iteration) can never replay the first design's template for it.
   gen::RandomDesignSpec spec_a;
   spec_a.seed = 61;

@@ -16,9 +16,8 @@ What is gated is deliberately machine-speed independent:
     skipped;
   * rows: verdict counts (num_false / num_true / num_unsolved /
     debug_set) must match exactly, keyed by (design, config) — but only
-    for run-to-completion configs; time-budgeted configs (all of
-    table02, table11's clustered-joint) depend on machine speed and are
-    skipped;
+    for run-to-completion tables; table02, whose rows all run under a
+    wall-clock budget, depends on machine speed and is skipped;
   * metrics: per-metric rules — "exact" for deterministic counts,
     "min" for traffic counters that must stay nonzero; `seconds` /
     rates are never gated.
@@ -53,7 +52,6 @@ POLICY = {
         "skip_rows": True,
     },
     "table11": {
-        "skip_configs": ["clustered-joint"],  # time-budgeted comparison arm
         "metrics": {
             "exchange_delivered": {"mode": "min", "value": 1},
             "exchange_imported": {"mode": "min", "value": 1},
@@ -113,14 +111,11 @@ def diff_table(table, baseline, fresh, policy=None):
             problems.append(f"shape no longer reproduced: {claim!r}")
 
     if not policy.get("skip_rows", False):
-        skip_configs = set(policy.get("skip_configs", []))
         fresh_rows = {
             (r["design"], r["config"]): r for r in fresh["rows"]
         }
         for row in baseline["rows"]:
             key = (row["design"], row["config"])
-            if row["config"] in skip_configs:
-                continue
             got = fresh_rows.get(key)
             if got is None:
                 problems.append(f"row disappeared: {key[0]}/{key[1]}")
@@ -208,16 +203,13 @@ def self_test():
         "seconds": 0.5, "max_frames": 7, "sat_propagations": 100,
         "sat_conflicts": 10, "simp_vars_eliminated": 0,
     }
-    budget_row = dict(row, config="clustered-joint", num_true=0,
-                      num_unsolved=2)
     shape_ok = {"claim": "verdicts agree", "reproduced": True}
     shape_time = {"claim": "no wall-time loss", "reproduced": True}
     baseline = _fixture(
-        [row, budget_row], [shape_ok, shape_time],
+        [row], [shape_ok, shape_time],
         {"exchange_delivered": 100, "ja_total_seconds": 0.5},
     )
     policy = {
-        "skip_configs": ["clustered-joint"],
         "skip_shape_claims": ["wall-time"],
         "metrics": {"exchange_delivered": {"mode": "min", "value": 1}},
     }
@@ -232,12 +224,10 @@ def self_test():
     # Identical run: clean.
     expect("identical", json.loads(json.dumps(baseline)), False)
 
-    # Speed-dependent drift is tolerated: slower seconds, different
-    # budgeted-config verdicts, lower (but nonzero) traffic.
+    # Speed-dependent drift is tolerated: slower seconds, lower (but
+    # nonzero) traffic.
     drifted = json.loads(json.dumps(baseline))
     drifted["rows"][0]["seconds"] = 9.9
-    drifted["rows"][1]["num_true"] = 1
-    drifted["rows"][1]["num_unsolved"] = 1
     drifted["metrics"]["exchange_delivered"] = 3
     drifted["metrics"]["ja_total_seconds"] = 7.0
     expect("tolerated drift", drifted, False)
@@ -260,8 +250,11 @@ def self_test():
     flipped["rows"][0]["num_unsolved"] = 1
     expect("changed verdict", flipped, True)
     missing_row = json.loads(json.dumps(baseline))
-    missing_row["rows"] = [budget_row]
+    missing_row["rows"] = []
     expect("disappeared row", missing_row, True)
+    # ...unless the table's rows all run under a wall-clock budget.
+    expect("skipped budgeted rows", flipped, False,
+           use_policy={"skip_rows": True})
 
     # A min-gated metric at zero is a regression; so is losing it.
     dead_bus = json.loads(json.dumps(baseline))
