@@ -160,7 +160,6 @@ BmcResult Bmc::run(const std::vector<std::size_t>& targets,
   }
   Deadline deadline(opts.time_limit_seconds);
   solver_.set_deadline(opts.time_limit_seconds > 0 ? &deadline : nullptr);
-  solver_.set_conflict_budget(opts.conflict_budget);
   pre_.set_enabled(opts.simplify);
 
   BmcResult result;

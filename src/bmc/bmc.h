@@ -31,7 +31,6 @@ struct BmcOptions {
   // one Bmc instance (the scheduler's interleaved sweeps rely on this).
   int start_depth = 0;
   double time_limit_seconds = 0.0;     // 0 = unlimited
-  std::uint64_t conflict_budget = 0;   // per solve; 0 = unlimited
   // Property indices asserted to hold on all non-final steps (the "just
   // assume" constraints). A property may be both assumed and a target:
   // the assumption binds only the trace prefix, so the first failure of

@@ -52,16 +52,12 @@ MultiResult JointVerifier::run() {
 
     ic3::Ic3Options engine_opts;
     engine_opts.time_limit_seconds = remaining;
-    engine_opts.conflict_budget_per_query = opts_.conflict_budget_per_query;
     engine_opts.lifting_respects_constraints =
         opts_.lifting_respects_constraints;
     engine_opts.simplify = opts_.simplify;
-    engine_opts.solver_mode = opts_.ic3_solver;
-    engine_opts.use_template = opts_.ic3_use_template;
-    engine_opts.rebuild_threshold = opts_.ic3_rebuild_threshold;
     engine_opts.trace = sink;
     // No shared cache: each iteration checks a fresh aggregate TS, but the
-    // engine's private template still collapses its per-frame encodings.
+    // engine's private template still serves all of its contexts.
 
     const std::uint64_t iter_begin = sink.begin();
     Timer iteration;

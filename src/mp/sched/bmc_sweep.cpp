@@ -55,7 +55,6 @@ std::size_t BmcSweep::process_seeds(std::vector<PropertyTask*>& by_prop) {
     bmc::BmcOptions bo;
     bo.assumed = assumed_;
     bo.max_depth = std::max(0, opts_.engine.sim_filter.seed_window);
-    bo.conflict_budget = opts_.engine.conflict_budget_per_query;
     bo.simplify = opts_.engine.simplify;
     bo.profile = obs::ProfileSink(opts_.engine.profiler, trace_shard_,
                                   static_cast<long long>(seed.prop));
@@ -142,7 +141,6 @@ std::size_t BmcSweep::sweep(const std::vector<PropertyTask*>& tasks,
   bmc::BmcOptions bo;
   bo.assumed = assumed_;
   bo.simplify = opts_.engine.simplify;
-  bo.conflict_budget = opts_.engine.conflict_budget_per_query;
   bo.start_depth = depth_done_;
   bo.max_depth = window_end;
   bo.profile = obs::ProfileSink(opts_.engine.profiler, trace_shard_);

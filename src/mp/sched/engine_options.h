@@ -2,16 +2,17 @@
 // Before the scheduler refactor these fields were copy-pasted across
 // SeparateOptions / JaOptions / JointOptions / ParallelJaOptions; the
 // legacy option structs now inherit this one, so existing field accesses
-// keep compiling while the scheduler consumes one uniform type.
+// keep compiling while the scheduler consumes one uniform type. What is
+// not a knob: the IC3 SAT-context layout (one template-replayed frame
+// solver plus a lift companion, ic3/frames.h), and the adaptive slice
+// sizing and the retry ladder's length (constants in property_task.cpp).
 #ifndef JAVER_MP_SCHED_ENGINE_OPTIONS_H
 #define JAVER_MP_SCHED_ENGINE_OPTIONS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "ic3/solver_mode.h"
 #include "mp/simfilter/options.h"
 
 namespace javer::obs {
@@ -26,16 +27,6 @@ namespace javer::mp::sched {
 struct EngineOptions {
   // Accumulate/seed strengthening clauses through a ClauseDb (§6-B/§7-B).
   bool clause_reuse = true;
-  // IC3 solver topology: one activation-literal solver for every frame
-  // (default) vs the classic one-context-per-frame vector.
-  ic3::Ic3SolverMode ic3_solver = ic3::Ic3SolverMode::Monolithic;
-  // Encode each transition relation once into a cnf::CnfTemplate and
-  // replay it into every SAT context (frames, rebuilds, sibling tasks
-  // with the same assumed set) instead of re-running the Tseitin encoder.
-  bool ic3_use_template = true;
-  // Rebuild a frame context once this many activation literals retired
-  // (garbage accumulates in the solver until then).
-  int ic3_rebuild_threshold = 500;
   // Warm-start persistence (src/persist): directory for the on-disk cache
   // of CNF templates and shard ClauseDb snapshots, keyed by design
   // fingerprint. Empty = no persistence. A re-run of an unchanged design
@@ -47,19 +38,11 @@ struct EngineOptions {
   // §7-A: lifting respects the assumed-property constraints from the
   // start (no spurious local CEXs) instead of the detect-and-retry loop.
   bool lifting_respects_constraints = false;
-  // Preprocess each SAT context's transition-relation CNF (sat/simp/).
+  // Simplify each IC3 transition-relation template once when it is built,
+  // and each BMC unrolling frame (sat/simp/).
   bool simplify = false;
   double time_limit_per_property = 0.0;  // seconds; 0 = unlimited
   double total_time_limit = 0.0;         // seconds; 0 = unlimited
-  std::uint64_t conflict_budget_per_query = 0;
-  // Adaptive slice sizing (ROADMAP): each budgeted slice is scaled by a
-  // per-task multiplier — doubled (up to slice_scale_max) when the slice
-  // advanced the engine's frame counter, halved (down to slice_scale_min)
-  // when it added no clauses at all. Unbudgeted (run-to-completion)
-  // slices are unaffected.
-  bool adaptive_slicing = true;
-  double slice_scale_min = 0.25;
-  double slice_scale_max = 4.0;
   // Verification order (property indices); empty = design order, the
   // paper's default ("properties are verified in the order they are
   // given").
@@ -91,14 +74,9 @@ struct EngineOptions {
   // Deterministic fault injection (src/fault): a --fault-inject spec the
   // task-based schedulers parse into the run's FaultPlan and install for
   // the run's duration. Empty = no injection (the default; every
-  // instrumented site then costs one relaxed atomic load).
+  // instrumented site then costs one relaxed atomic load). A task whose
+  // slice throws is retried on the degrade ladder (property_task.h).
   std::string fault_plan;
-  // Degrade-and-retry ladder: how many times a task whose slice threw
-  // (engine exception, bad_alloc, injected fault) is retried — with a
-  // fresh engine under a progressively safer config each rung — before
-  // it lands at PropertyVerdict::Unknown with its failure chain. 0 =
-  // quarantine on the first failure.
-  int max_task_retries = 4;
 };
 
 }  // namespace javer::mp::sched

@@ -1,10 +1,15 @@
-// FrameSolver unit tests: the SAT-query layer beneath IC3 — bad-state
-// queries, consecution with/without path constraints, core extraction,
-// and the two lifting modes with their universal-cube guarantees.
+// SAT-context unit tests: the layer beneath IC3. Bad-state queries and
+// initial-state units on the activation-literal frame solver; consecution
+// with/without path constraints, core extraction, and the two lifting
+// modes with their universal-cube guarantees on the frameless FrameSolver.
+// Every context is a replay of a cnf::CnfTemplate, as in the engine.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "aig/builder.h"
 #include "aig/sim.h"
+#include "cnf/template.h"
 #include "ic3/frames.h"
 
 namespace javer::ic3 {
@@ -19,12 +24,14 @@ struct CounterFrames {
     aig.add_property(~b.eq_const(cnt, 5), "ne5");
     aig.add_property(~b.eq_const(cnt, 2), "ne2");
     ts = std::make_unique<ts::TransitionSystem>(aig);
+    tmpl = std::make_unique<cnf::CnfTemplate>(
+        *ts, cnf::CnfTemplate::Spec{{0, 1}, false});
   }
-  FrameSolver::Config config(bool with_assumed, bool init_units) {
-    FrameSolver::Config c;
+  StepContext::Config config(bool with_assumed) const {
+    StepContext::Config c;
     c.target_prop = 0;
     if (with_assumed) c.assumed = {1};
-    c.init_units = init_units;
+    c.tmpl = tmpl.get();
     return c;
   }
   static ts::Cube state_cube(int value) {
@@ -34,33 +41,44 @@ struct CounterFrames {
     }
     return c;
   }
+  static int value_of(const std::vector<bool>& state) {
+    return state[0] + 2 * state[1] + 4 * state[2];
+  }
   aig::Aig aig;
   aig::Word cnt;
   std::unique_ptr<ts::TransitionSystem> ts;
+  std::unique_ptr<cnf::CnfTemplate> tmpl;
 };
 
-TEST(FrameSolver, BadQueryFindsViolation) {
+TEST(StepContext, RequiresATemplate) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, false));
-  // No frame clauses: some state with cnt==5 violates P0.
-  ASSERT_EQ(fs.query_bad(), sat::SolveResult::Sat);
-  auto state = fs.model_state();
-  int v = state[0] + 2 * state[1] + 4 * state[2];
-  EXPECT_EQ(v, 5);
+  StepContext::Config config = fx.config(false);
+  config.tmpl = nullptr;
+  EXPECT_THROW(FrameSolver(*fx.ts, config), std::invalid_argument);
+  EXPECT_THROW(MonolithicFrameSolver(*fx.ts, config), std::invalid_argument);
 }
 
-TEST(FrameSolver, BadQueryUnsatAtInit) {
+TEST(MonolithicFrameSolver, BadQueryFindsViolation) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, /*init_units=*/true));
-  // The initial state is cnt==0, which satisfies P0.
-  EXPECT_EQ(fs.query_bad(), sat::SolveResult::Unsat);
+  MonolithicFrameSolver ms(*fx.ts, fx.config(false));
+  ms.ensure_frame(1);
+  // No frame clauses at frame 1: some state with cnt==5 violates P0.
+  ASSERT_EQ(ms.query_bad(1), sat::SolveResult::Sat);
+  EXPECT_EQ(CounterFrames::value_of(ms.model_state()), 5);
 }
 
-TEST(FrameSolver, BlockingClauseRemovesBadState) {
+TEST(MonolithicFrameSolver, BadQueryUnsatAtInit) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, false));
-  fs.add_blocking_clause(CounterFrames::state_cube(5));
-  EXPECT_EQ(fs.query_bad(), sat::SolveResult::Unsat);
+  MonolithicFrameSolver ms(*fx.ts, fx.config(false));
+  // Frame 0 is the initial state cnt==0, which satisfies P0.
+  EXPECT_EQ(ms.query_bad(0), sat::SolveResult::Unsat);
+}
+
+TEST(MonolithicFrameSolver, BlockingClauseRemovesBadState) {
+  CounterFrames fx;
+  MonolithicFrameSolver ms(*fx.ts, fx.config(false));
+  ms.add_blocking_clause(CounterFrames::state_cube(5), 1);
+  EXPECT_EQ(ms.query_bad(1), sat::SolveResult::Unsat);
 }
 
 TEST(FrameSolver, ConsecutionUsesPathConstraints) {
@@ -70,17 +88,15 @@ TEST(FrameSolver, ConsecutionUsesPathConstraints) {
   // the assumption, SAT without.
   ts::Cube three = CounterFrames::state_cube(3);
   {
-    FrameSolver with(*fx.ts, fx.config(/*with_assumed=*/true, false));
+    FrameSolver with(*fx.ts, fx.config(/*with_assumed=*/true));
     EXPECT_EQ(with.query_consecution(three, true, nullptr),
               sat::SolveResult::Unsat);
   }
   {
-    FrameSolver without(*fx.ts, fx.config(/*with_assumed=*/false, false));
+    FrameSolver without(*fx.ts, fx.config(/*with_assumed=*/false));
     EXPECT_EQ(without.query_consecution(three, true, nullptr),
               sat::SolveResult::Sat);
-    auto pred = without.model_state();
-    int v = pred[0] + 2 * pred[1] + 4 * pred[2];
-    EXPECT_EQ(v, 2);
+    EXPECT_EQ(CounterFrames::value_of(without.model_state()), 2);
   }
 }
 
@@ -89,19 +105,20 @@ TEST(FrameSolver, ConsecutionTargetPropertyOnPresentStep) {
   // Pred of cnt==6 is cnt==5 = ¬P0 itself; the target property is part of
   // the path constraints, so consecution holds even with no assumptions.
   ts::Cube six = CounterFrames::state_cube(6);
-  FrameSolver fs(*fx.ts, fx.config(false, false));
+  FrameSolver fs(*fx.ts, fx.config(false));
   EXPECT_EQ(fs.query_consecution(six, true, nullptr),
             sat::SolveResult::Unsat);
 }
 
-TEST(FrameSolver, ConsecutionCoreIsSufficient) {
+TEST(MonolithicFrameSolver, ConsecutionCoreIsSufficient) {
   CounterFrames fx;
-  // From init (cnt==0) the successor is cnt==1; target cube cnt==4 cannot
-  // be hit, and a core over the next-state literals must exist.
+  // From init (cnt==0, frame 0) the successor is cnt==1; target cube
+  // cnt==4 cannot be hit, and a core over the next-state literals must
+  // exist.
   ts::Cube four = CounterFrames::state_cube(4);
-  FrameSolver fs(*fx.ts, fx.config(false, /*init_units=*/true));
+  MonolithicFrameSolver ms(*fx.ts, fx.config(false));
   std::vector<std::size_t> core;
-  ASSERT_EQ(fs.query_consecution(four, true, &core),
+  ASSERT_EQ(ms.query_consecution(0, four, true, &core),
             sat::SolveResult::Unsat);
   ASSERT_FALSE(core.empty());
   for (std::size_t idx : core) EXPECT_LT(idx, four.size());
@@ -109,18 +126,19 @@ TEST(FrameSolver, ConsecutionCoreIsSufficient) {
   ts::Cube sub;
   for (std::size_t idx : core) sub.push_back(four[idx]);
   ts::sort_cube(sub);
-  EXPECT_EQ(fs.query_consecution(sub, true, nullptr),
+  EXPECT_EQ(ms.query_consecution(0, sub, true, nullptr),
             sat::SolveResult::Unsat);
 }
 
 TEST(FrameSolver, LiftBadProducesUniversalCube) {
   CounterFrames fx;
-  FrameSolver bad_finder(*fx.ts, fx.config(false, false));
-  ASSERT_EQ(bad_finder.query_bad(), sat::SolveResult::Sat);
+  MonolithicFrameSolver bad_finder(*fx.ts, fx.config(false));
+  bad_finder.ensure_frame(1);
+  ASSERT_EQ(bad_finder.query_bad(1), sat::SolveResult::Sat);
   auto state = bad_finder.model_state();
   auto inputs = bad_finder.model_inputs();
 
-  FrameSolver lifter(*fx.ts, fx.config(false, false));
+  FrameSolver lifter(*fx.ts, fx.config(false));
   ts::Cube cube = lifter.lift_bad(state, inputs);
   EXPECT_FALSE(cube.empty());
   // Universal property: every state in the cube violates P0 under these
@@ -135,41 +153,39 @@ TEST(FrameSolver, LiftBadProducesUniversalCube) {
 }
 
 TEST(FrameSolver, LiftPredecessorRespectVsIgnore) {
-  // Design with an input-dependent assumed property so the two lifting
-  // modes can actually differ: P1 (assumed) = !(in), target P0 = !(l).
+  // l' = k, m' = m, k' = k; target P0 = ¬l, assumed P1 = ¬m. Stepping into
+  // {l=1} needs only k=1, so ignoring the assumptions lifts to {k=1}.
+  // Respecting them also keeps the present step a valid non-final step:
+  // P0 (l=0) and P1 (m=0) must hold there, so both literals stay.
   aig::Aig aig;
-  aig::Lit in = aig.add_input("in");
   aig::Lit l = aig.add_latch(Ternary::False, "l");
   aig::Lit m = aig.add_latch(Ternary::False, "m");
-  aig.set_latch_next(l, in);
+  aig::Lit k = aig.add_latch(Ternary::False, "k");
+  aig.set_latch_next(l, k);
   aig.set_latch_next(m, m);
+  aig.set_latch_next(k, k);
   aig.add_property(~l, "target");
-  aig.add_property(~in, "assumed");
+  aig.add_property(~m, "assumed");
   ts::TransitionSystem ts(aig);
+  cnf::CnfTemplate tmpl(ts, {{0, 1}, false});
 
-  FrameSolver::Config config;
+  StepContext::Config config;
   config.target_prop = 0;
   config.assumed = {1};
+  config.tmpl = &tmpl;
   FrameSolver fs(ts, config);
 
-  // Predecessor (l=0, m=1) with input in=1 drives into target cube {l=1}.
-  std::vector<bool> state{false, true};
-  std::vector<bool> inputs{true};
-  ts::Cube target{{0, true}};
-
-  ts::Cube ignore = fs.lift_predecessor(state, inputs, target, false);
-  ts::Cube respect = fs.lift_predecessor(state, inputs, target, true);
-  // Both lifted cubes must contain the concrete predecessor state.
-  EXPECT_TRUE(ts::cube_contains_state(ignore, state));
-  EXPECT_TRUE(ts::cube_contains_state(respect, state));
-  // Ignore-mode drops everything (the transition depends only on the
-  // input), respect-mode may keep more; at minimum it is never larger.
-  EXPECT_LE(ignore.size(), respect.size() + 0u + 2u);  // sanity bound
+  std::vector<bool> state{false, false, true};  // l=0, m=0, k=1
+  ts::Cube target{{0, true}};                   // l=1
+  ts::Cube ignore = fs.lift_predecessor(state, {}, target, false);
+  ts::Cube respect = fs.lift_predecessor(state, {}, target, true);
+  EXPECT_EQ(ignore, (ts::Cube{{2, true}}));
+  EXPECT_EQ(respect, (ts::Cube{{0, false}, {1, false}, {2, true}}));
 }
 
 TEST(FrameSolver, RetiredActivationsAccumulate) {
   CounterFrames fx;
-  FrameSolver fs(*fx.ts, fx.config(false, false));
+  FrameSolver fs(*fx.ts, fx.config(false));
   int before = fs.retired_activations();
   fs.query_consecution(CounterFrames::state_cube(6), true, nullptr);
   fs.query_consecution(CounterFrames::state_cube(7), true, nullptr);
