@@ -166,8 +166,7 @@ void usage(std::FILE* out) {
 "  --no-reuse           disable strengthening-clause re-use\n"
 "  --strict-lifting     lifting respects property constraints (paper 7-A)\n"
 "  --simplify           simplify the CNF (subsumption + bounded variable\n"
-"                       elimination, sat/simp/): once per IC3 template,\n"
-"                       per frame in BMC\n"
+"                       elimination, sat/simp/) once per IC3 template\n"
 "  --etf I              mark property I Expected-To-Fail; repeatable\n"
 "                       (ETF properties are never assumed)\n"
 "\n"

@@ -10,7 +10,7 @@ namespace javer::bmc {
 
 Bmc::Bmc(const ts::TransitionSystem& ts,
          const std::vector<bool>* init_override)
-    : ts_(ts), pre_(solver_), encoder_(ts.aig(), pre_) {
+    : ts_(ts), encoder_(ts.aig(), solver_) {
   if (init_override != nullptr &&
       init_override->size() != ts.num_latches()) {
     throw std::invalid_argument("bmc: init override size mismatch");
@@ -43,30 +43,6 @@ Bmc::Bmc(const ts::TransitionSystem& ts,
   frames_.push_back(std::move(f0));
 }
 
-void Bmc::complete_frame(cnf::Encoder::Frame& frame) {
-  const aig::Aig& aig = ts_.aig();
-  std::vector<sat::Lit> roots;
-  roots.push_back(encoder_.true_lit());
-  for (const aig::Latch& l : aig.latches()) {
-    roots.push_back(encoder_.lit(frame, aig::Lit::make(l.var)));
-    roots.push_back(encoder_.lit(frame, l.next));
-  }
-  for (aig::Var v : aig.inputs()) {
-    roots.push_back(encoder_.lit(frame, aig::Lit::make(v)));
-  }
-  // Every property cone, not just this run's targets/assumed: a later
-  // run() over different targets reuses the frame's memoized literals, so
-  // all roots a future query could ask for must survive simplification.
-  for (std::size_t p = 0; p < ts_.num_properties(); ++p) {
-    roots.push_back(encoder_.lit(frame, ts_.property_lit(p)));
-  }
-  for (aig::Lit c : aig.constraints()) {
-    roots.push_back(encoder_.lit(frame, c));
-  }
-  for (sat::Lit l : roots) pre_.freeze(l);
-  pre_.flush();
-}
-
 void Bmc::make_next_frame() {
   cnf::Encoder::Frame& cur = frames_.back();
   cnf::Encoder::Frame next = encoder_.make_frame();
@@ -88,11 +64,7 @@ void Bmc::assert_invariant_clause(cnf::Encoder::Frame& frame,
         encoder_.lit(frame, aig::Lit::make(ts_.aig().latches()[l.latch].var));
     clause.push_back(l.value ? ~lit : lit);
   }
-  // Through the preprocessor with the literals frozen: in simplify mode
-  // the clause joins the pending batch and its variables survive
-  // elimination; a solve before the next flush merely misses the pruning.
-  for (sat::Lit l : clause) pre_.freeze(l);
-  pre_.add_clause(clause);
+  solver_.add_clause(clause);
 }
 
 std::size_t Bmc::add_invariant_cubes(const std::vector<ts::Cube>& cubes) {
@@ -160,7 +132,6 @@ BmcResult Bmc::run(const std::vector<std::size_t>& targets,
   }
   Deadline deadline(opts.time_limit_seconds);
   solver_.set_deadline(opts.time_limit_seconds > 0 ? &deadline : nullptr);
-  pre_.set_enabled(opts.simplify);
 
   BmcResult result;
   result.frames_explored = opts.start_depth;
@@ -168,7 +139,6 @@ BmcResult Bmc::run(const std::vector<std::size_t>& targets,
   for (int depth = opts.start_depth; depth <= opts.max_depth; ++depth) {
     while (static_cast<int>(frames_.size()) <= depth) make_next_frame();
     cnf::Encoder::Frame& f = frames_[depth];
-    if (opts.simplify) complete_frame(f);
 
     // Design constraints hold at every step, including the final one.
     // (Encoded as units the first time the frame becomes a query target.)

@@ -16,7 +16,6 @@
 #include "base/timer.h"
 #include "cnf/tseitin.h"
 #include "obs/profile.h"
-#include "sat/simp/preprocessor.h"
 #include "sat/solver.h"
 #include "ts/trace.h"
 #include "ts/transition_system.h"
@@ -38,11 +37,6 @@ struct BmcOptions {
   // debugging-set ("first to fail") semantics the scheduler's hybrid
   // sweeps use.
   std::vector<std::size_t> assumed;
-  // Preprocess each unrolling frame's CNF (subsumption + bounded variable
-  // elimination over the Tseitin auxiliaries, sat/simp/) before it enters
-  // the incremental solver. Interface literals (latches, inputs,
-  // next-state functions, properties, constraints) are frozen.
-  bool simplify = false;
   // Phase profiler (obs/profile.h): one "bmc/solve" latency sample per
   // depth query, keyed by the sink's (shard, property) tags. Disabled
   // sink = one branch per run(), no clock reads.
@@ -89,26 +83,15 @@ class Bmc {
   // nothing is re-validated here. Returns how many cubes were new.
   std::size_t add_invariant_cubes(const std::vector<ts::Cube>& cubes);
 
-  const sat::SolverStats& solver_stats() const { return solver_.stats(); }
-  const sat::simp::SimpStats& simp_stats() const { return pre_.stats(); }
-
  private:
   void make_next_frame();
-  // Asserts ¬cube over `frame`'s latch literals (through the
-  // preprocessor, with the literals frozen, so simplify mode stays sound).
+  // Asserts ¬cube over `frame`'s latch literals.
   void assert_invariant_clause(cnf::Encoder::Frame& frame,
                                const ts::Cube& cube);
-  // Simplify mode: encodes every cone of `frame` (next-state functions,
-  // all properties, constraints) into the pending batch, freezes the cone
-  // roots plus the frame's latch/input literals, and flushes the batch
-  // through the preprocessor. After this no cone of the frame is ever
-  // encoded again, so eliminating its Tseitin internals is sound.
-  void complete_frame(cnf::Encoder::Frame& frame);
   ts::Trace extract_trace(std::size_t depth);
 
   const ts::TransitionSystem& ts_;
   sat::Solver solver_;
-  sat::simp::Preprocessor pre_;  // sits between the encoder and the solver
   cnf::Encoder encoder_;
   std::vector<cnf::Encoder::Frame> frames_;
   // Imported invariant cubes, re-asserted on every new frame; `seen`

@@ -7,8 +7,7 @@
 // clauses per gate.
 //
 // The encoder writes into a sat::ClauseSink, so the same encoding serves a
-// Solver directly or a simp::Preprocessor that simplifies batches before
-// they reach the solver.
+// Solver directly or the clause buffer a cnf::CnfTemplate is built from.
 #ifndef JAVER_CNF_TSEITIN_H
 #define JAVER_CNF_TSEITIN_H
 

@@ -55,7 +55,6 @@ std::size_t BmcSweep::process_seeds(std::vector<PropertyTask*>& by_prop) {
     bmc::BmcOptions bo;
     bo.assumed = assumed_;
     bo.max_depth = std::max(0, opts_.engine.sim_filter.seed_window);
-    bo.simplify = opts_.engine.simplify;
     bo.profile = obs::ProfileSink(opts_.engine.profiler, trace_shard_,
                                   static_cast<long long>(seed.prop));
     bmc::BmcResult br = seed_bmc.run({seed.prop}, bo);
@@ -140,7 +139,6 @@ std::size_t BmcSweep::sweep(const std::vector<PropertyTask*>& tasks,
 
   bmc::BmcOptions bo;
   bo.assumed = assumed_;
-  bo.simplify = opts_.engine.simplify;
   bo.start_depth = depth_done_;
   bo.max_depth = window_end;
   bo.profile = obs::ProfileSink(opts_.engine.profiler, trace_shard_);

@@ -38,8 +38,8 @@ struct EngineOptions {
   // §7-A: lifting respects the assumed-property constraints from the
   // start (no spurious local CEXs) instead of the detect-and-retry loop.
   bool lifting_respects_constraints = false;
-  // Simplify each IC3 transition-relation template once when it is built,
-  // and each BMC unrolling frame (sat/simp/).
+  // Simplify each IC3 transition-relation template once when it is built
+  // (sat/simp/). BMC unrollings are never simplified.
   bool simplify = false;
   double time_limit_per_property = 0.0;  // seconds; 0 = unlimited
   double total_time_limit = 0.0;         // seconds; 0 = unlimited

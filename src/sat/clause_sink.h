@@ -1,8 +1,7 @@
 // ClauseSink: the minimal interface for anything clauses can be encoded
-// into — a Solver directly, or a simp::Preprocessor that batches and
-// simplifies clauses on their way into a solver. The Tseitin encoder
-// targets this interface so every backend can opt into preprocessing
-// without touching the encoding logic.
+// into — a Solver directly (BMC, certification), or the clause buffer a
+// cnf::CnfTemplate is built from (and simplified in, once). The Tseitin
+// encoder targets this interface so the encoding logic is shared by both.
 #ifndef JAVER_SAT_CLAUSE_SINK_H
 #define JAVER_SAT_CLAUSE_SINK_H
 

@@ -5,18 +5,6 @@
 
 namespace javer::sat::simp {
 
-void SimpStats::accumulate(const SimpStats& o) {
-  clauses_in += o.clauses_in;
-  clauses_out += o.clauses_out;
-  lits_in += o.lits_in;
-  lits_out += o.lits_out;
-  vars_eliminated += o.vars_eliminated;
-  vars_fixed += o.vars_fixed;
-  clauses_subsumed += o.clauses_subsumed;
-  clauses_strengthened += o.clauses_strengthened;
-  rounds += o.rounds;
-}
-
 Simplifier::Simplifier(SimplifyConfig cfg) : cfg_(cfg) {}
 
 void Simplifier::freeze(Var v) {
@@ -418,11 +406,9 @@ bool Simplifier::simplify(Cnf& cnf) {
   for (Var v = 0; v < num_vars_; ++v) {
     if (val_[v] == kUndef) continue;
     Lit unit = Lit::make(v, val_[v] == kFalse);
-    bool keep_unit =
-        v < floor_ || (v < static_cast<Var>(frozen_.size()) && frozen_[v]);
-    if (keep_unit) {
-      // Frozen or pre-batch variables may occur outside this formula;
-      // their forced values must stay visible.
+    if (frozen_[v]) {
+      // Frozen variables may occur outside this formula; their forced
+      // values must stay visible.
       cnf.clauses.push_back({unit});
       stats_.lits_out += 1;
     } else {

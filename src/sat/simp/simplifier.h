@@ -44,8 +44,6 @@ struct SimpStats {
   std::size_t clauses_subsumed = 0;
   std::size_t clauses_strengthened = 0;  // self-subsuming resolutions
   std::size_t rounds = 0;
-
-  void accumulate(const SimpStats& o);
 };
 
 class Simplifier {
@@ -57,14 +55,8 @@ class Simplifier {
   void freeze(Var v);
   void freeze(Lit l) { freeze(l.var()); }
 
-  // Only variables >= floor may be eliminated. Incremental users set this
-  // to the first variable of the current batch so that variables shared
-  // with already-committed clauses survive.
-  void set_eliminable_floor(Var floor) { floor_ = floor; }
-
-  // Simplifies `cnf` in place (num_vars is preserved; use VarRemapper to
-  // compact afterwards). Returns false iff the formula was proved
-  // unsatisfiable.
+  // Simplifies `cnf` in place (num_vars is preserved). Returns false iff
+  // the formula was proved unsatisfiable.
   bool simplify(Cnf& cnf);
 
   // True when simplify() removed the variable (eliminated, or fixed while
@@ -122,13 +114,11 @@ class Simplifier {
                std::vector<Lit>& out) const;
 
   bool eliminable(Var v) const {
-    return v >= floor_ && !frozen_[v] && !eliminated_[v] &&
-           val_[v] == kUndef;
+    return !frozen_[v] && !eliminated_[v] && val_[v] == kUndef;
   }
 
   SimplifyConfig cfg_;
   int num_vars_ = 0;
-  Var floor_ = 0;
 
   std::vector<SClause> clauses_;
   OccLists occ_;

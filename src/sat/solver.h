@@ -96,8 +96,9 @@ class Solver : public ClauseSink {
   // Prefer this polarity when branching on v (phase saving overrides later).
   void set_polarity(Var v, bool positive) { polarity_[v] = positive ? 1 : 0; }
 
-  // Excludes v from branching (used for variables a preprocessor
-  // eliminated: they have no clauses left, so deciding them is waste).
+  // Excludes v from branching (used for variables a simplified
+  // cnf::CnfTemplate eliminated: they have no clauses left, so deciding
+  // them is waste).
   // Non-decision variables stay kUndef in models.
   void set_decision_var(Var v, bool decision) {
     decision_[v] = decision ? 1 : 0;

@@ -1,8 +1,8 @@
 // Simplification subsystem tests: equisatisfiability + model
 // reconstruction fuzzing against the reference DPLL (≥500 random CNFs),
 // unit-level checks of subsumption / self-subsuming resolution / bounded
-// variable elimination, VarRemapper compaction, DIMACS roundtrips, and
-// preprocessing-enabled engine runs agreeing with plain ones.
+// variable elimination, DIMACS roundtrips, and a JA run over simplified
+// templates agreeing with a plain one.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -10,15 +10,11 @@
 
 #include "aig/aig.h"
 #include "base/rng.h"
-#include "bmc/bmc.h"
-#include "gen/counter.h"
 #include "gen/synthetic.h"
 #include "mp/separate_verifier.h"
 #include "sat/dimacs.h"
 #include "sat/ref_dpll.h"
-#include "sat/simp/preprocessor.h"
 #include "sat/simp/simplifier.h"
-#include "sat/simp/var_remapper.h"
 #include "sat/solver.h"
 
 namespace javer::sat {
@@ -39,8 +35,8 @@ Cnf random_cnf(Rng& rng, int num_vars, int num_clauses, int max_len) {
   return cnf;
 }
 
-// Simplify + compact + CDCL-solve `cnf`; on Sat, reconstruct a full model
-// of the original formula. Returns the solver verdict.
+// Simplify + CDCL-solve `cnf`; on Sat, reconstruct a full model of the
+// original formula. Returns the solver verdict.
 SolveResult simplify_and_solve(const Cnf& original, simp::SimplifyConfig cfg,
                                const std::vector<Var>& frozen,
                                std::vector<bool>* out_model) {
@@ -49,7 +45,6 @@ SolveResult simplify_and_solve(const Cnf& original, simp::SimplifyConfig cfg,
   for (Var v : frozen) simplifier.freeze(v);
   if (!simplifier.simplify(work)) return SolveResult::Unsat;
 
-  simp::VarRemapper remap = simp::VarRemapper::compact(work);
   Solver solver;
   for (int v = 0; v < work.num_vars; ++v) solver.new_var();
   bool trivially_unsat = false;
@@ -59,9 +54,8 @@ SolveResult simplify_and_solve(const Cnf& original, simp::SimplifyConfig cfg,
   SolveResult res = trivially_unsat ? SolveResult::Unsat : solver.solve();
   if (res != SolveResult::Sat || out_model == nullptr) return res;
 
-  std::vector<Value> compact(work.num_vars, kUndef);
-  for (int v = 0; v < work.num_vars; ++v) compact[v] = solver.model_value(v);
-  std::vector<Value> model = remap.lift_model(compact);
+  std::vector<Value> model(work.num_vars, kUndef);
+  for (int v = 0; v < work.num_vars; ++v) model[v] = solver.model_value(v);
   simplifier.extend_model(model);
   out_model->assign(original.num_vars, false);
   for (int v = 0; v < original.num_vars; ++v) {
@@ -212,48 +206,6 @@ TEST(Simplifier, FrozenVariablesSurviveWithTheirUnits) {
   EXPECT_EQ(solver.model_value(Var{1}), kTrue);
 }
 
-TEST(Simplifier, EliminableFloorProtectsSharedVariables) {
-  // Var 0 predates the batch (floor 1): it must not be eliminated even
-  // though it is unfrozen.
-  Cnf cnf;
-  cnf.num_vars = 2;
-  Lit shared = Lit::make(0), aux = Lit::make(1);
-  cnf.add_clause({shared, aux});
-  cnf.add_clause({shared, ~aux});
-  simp::Simplifier s;
-  s.set_eliminable_floor(1);
-  ASSERT_TRUE(s.simplify(cnf));
-  EXPECT_FALSE(s.is_eliminated(0));
-  // Resolving away the auxiliary fixes var 0; its unit must stay visible
-  // because clauses committed before this batch may mention it.
-  bool unit_present = false;
-  for (const auto& clause : cnf.clauses) {
-    if (clause.size() == 1 && clause[0] == shared) unit_present = true;
-  }
-  EXPECT_TRUE(unit_present);
-}
-
-TEST(VarRemapper, CompactsAndLiftsModels) {
-  Cnf cnf;
-  cnf.num_vars = 10;
-  Lit a = Lit::make(2), b = Lit::make(7);
-  cnf.add_clause({a, ~b});
-  simp::VarRemapper m = simp::VarRemapper::compact(cnf);
-  EXPECT_EQ(cnf.num_vars, 2);
-  EXPECT_EQ(m.num_old_vars(), 10);
-  EXPECT_EQ(m.old_to_new(2), 0);
-  EXPECT_EQ(m.old_to_new(7), 1);
-  EXPECT_EQ(m.old_to_new(0), kNoVar);
-  EXPECT_EQ(m.new_to_old(1), 7);
-
-  std::vector<Value> compact{kTrue, kFalse};
-  std::vector<Value> lifted = m.lift_model(compact);
-  ASSERT_EQ(lifted.size(), 10u);
-  EXPECT_EQ(lifted[2], kTrue);
-  EXPECT_EQ(lifted[7], kFalse);
-  EXPECT_EQ(lifted[0], kUndef);
-}
-
 TEST(Dimacs, ReadWriteReadRoundtrip) {
   Rng rng(42);
   Cnf cnf = random_cnf(rng, 12, 30, 4);
@@ -273,68 +225,11 @@ TEST(Dimacs, ReadWriteReadRoundtrip) {
   EXPECT_EQ(first.str(), second.str());
 }
 
-TEST(Preprocessor, PassesThroughWhenDisabled) {
-  Solver solver;
-  simp::Preprocessor pre(solver, /*enabled=*/false);
-  Var a = pre.new_var();
-  Var b = pre.new_var();
-  pre.add_clause({Lit::make(a), Lit::make(b)});
-  pre.add_unit(~Lit::make(a));
-  ASSERT_TRUE(pre.flush());
-  ASSERT_EQ(solver.solve(), SolveResult::Sat);
-  EXPECT_EQ(solver.model_value(b), kTrue);
-}
-
-TEST(Preprocessor, BatchSimplifiesBehindFrozenInterface) {
-  Solver solver;
-  simp::Preprocessor pre(solver, /*enabled=*/true);
-  Var a = pre.new_var();
-  Var b = pre.new_var();
-  Var g = pre.new_var();  // batch-local auxiliary: g <-> a & b
-  pre.add_clause({~Lit::make(g), Lit::make(a)});
-  pre.add_clause({~Lit::make(g), Lit::make(b)});
-  pre.add_clause({Lit::make(g), ~Lit::make(a), ~Lit::make(b)});
-  pre.add_unit(Lit::make(g));
-  pre.freeze(a);
-  pre.freeze(b);
-  ASSERT_TRUE(pre.flush());
-  EXPECT_GE(pre.stats().vars_eliminated + pre.stats().vars_fixed, 1u);
-
-  ASSERT_EQ(solver.solve(), SolveResult::Sat);
-  EXPECT_EQ(solver.model_value(a), kTrue);
-  EXPECT_EQ(solver.model_value(b), kTrue);
-  // Assumptions over frozen literals still work after the batch.
-  EXPECT_EQ(solver.solve({~Lit::make(a)}), SolveResult::Unsat);
-}
-
 }  // namespace
 }  // namespace javer::sat
 
 namespace javer {
 namespace {
-
-TEST(SimplifyEngines, BmcAgreesWithPlainRun) {
-  gen::CounterSpec spec;
-  spec.bits = 5;
-  aig::Aig design = gen::make_counter(spec);
-  ts::TransitionSystem ts(design);
-
-  bmc::BmcOptions plain;
-  plain.max_depth = 80;
-  bmc::BmcOptions simp_opts = plain;
-  simp_opts.simplify = true;
-
-  bmc::Bmc bmc_plain(ts);
-  bmc::BmcResult a = bmc_plain.run({0}, plain);
-  bmc::Bmc bmc_simp(ts);
-  bmc::BmcResult b = bmc_simp.run({0}, simp_opts);
-
-  ASSERT_EQ(a.status, b.status);
-  EXPECT_EQ(a.depth, b.depth);
-  if (b.status == CheckStatus::Fails) {
-    EXPECT_TRUE(ts::is_global_cex(ts, b.cex, 0));
-  }
-}
 
 TEST(SimplifyEngines, JaVerificationAgreesWithPlainRun) {
   gen::SyntheticSpec spec;
