@@ -5,9 +5,9 @@
 // real partitions to find).
 // Shapes checked:
 //  * the sharded engine reproduces its own exchange-off verdicts exactly
-//    under every exchange mode (the soundness contract — lemmas are
-//    re-validated by the consuming engines, so they can prune work but
-//    never flip a verdict);
+//    with the units exchange on (the soundness contract — BMC prefix
+//    units are re-validated by the consuming engines, so they can prune
+//    work but never flip a verdict);
 //  * sharded verdicts match plain JA verdict-for-verdict;
 //  * the exchange reports non-trivial traffic (hit-rate metrics).
 #include <cstdio>
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   double prop_limit = bench::budget(2.0);
 
   std::printf("%9s %5s %5s %4s | %-21s | %-21s | %-21s\n", "", "", "", "",
-              "JA (reference)", "sharded (exch off)", "sharded (exch all)");
+              "JA (reference)", "sharded (exch off)", "sharded (exch units)");
   std::printf("%9s %5s %5s %4s | %9s %11s | %9s %11s | %9s %11s\n", "name",
               "#lat", "#prop", "#shd", "#f(#t)", "time", "#f(#t)", "time",
               "#f(#t)", "time");
@@ -116,9 +116,7 @@ int main(int argc, char** argv) {
   bool exchange_traffic = false;
   double ja_total = 0, sharded_total = 0;
   std::uint64_t delivered_total = 0, imported_total = 0;
-  std::uint64_t redundant_total = 0, bus_imports = 0;
-  double hit_rate_sum = 0;
-  std::size_t hit_rate_runs = 0;
+  std::uint64_t redundant_total = 0;
 
   for (const auto& d : multi_cone_family()) {
     aig::Aig design = gen::make_synthetic(d.spec);
@@ -132,12 +130,8 @@ int main(int argc, char** argv) {
     bench::Summary ja = bench::summarize(ja_result);
     bench::record_row(d.name, "ja-reference", ja);
 
-    // Sharded hybrid, exchange off / units / all, plus a bus-only run
-    // (ClauseDb re-use off, exchange all): there the bus is the *only*
-    // strengthening channel between sibling tasks, so its imports measure
-    // real re-use rather than deliveries the ClauseDb already made
-    // redundant.
-    auto run_sharded = [&](mp::exchange::ExchangeMode mode, bool reuse,
+    // Sharded hybrid, exchange off / units.
+    auto run_sharded = [&](mp::exchange::ExchangeMode mode,
                            mp::MultiResult& out,
                            mp::exchange::ExchangeStats& xs,
                            std::size_t& shards) {
@@ -145,7 +139,6 @@ int main(int argc, char** argv) {
       so.base.proof_mode = mp::sched::ProofMode::Local;
       so.base.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
       so.base.engine.time_limit_per_property = prop_limit;
-      so.base.engine.clause_reuse = reuse;
       so.base.engine.tracer = tracer_ptr;
       so.base.engine.profiler = profiler_ptr;
       so.clustering.min_similarity = 0.5;
@@ -156,41 +149,29 @@ int main(int argc, char** argv) {
       shards = sched.num_shards();
     };
 
-    mp::MultiResult r_off, r_units, r_all, r_bus;
-    mp::exchange::ExchangeStats xs_off, xs_units, xs_all, xs_bus;
+    mp::MultiResult r_off, r_units;
+    mp::exchange::ExchangeStats xs_off, xs_units;
     std::size_t shards = 0;
-    run_sharded(mp::exchange::ExchangeMode::Off, true, r_off, xs_off, shards);
-    run_sharded(mp::exchange::ExchangeMode::Units, true, r_units, xs_units,
-                shards);
-    run_sharded(mp::exchange::ExchangeMode::All, true, r_all, xs_all, shards);
-    run_sharded(mp::exchange::ExchangeMode::All, false, r_bus, xs_bus,
-                shards);
+    run_sharded(mp::exchange::ExchangeMode::Off, r_off, xs_off, shards);
+    run_sharded(mp::exchange::ExchangeMode::Units, r_units, xs_units, shards);
     bench::Summary s_off = bench::summarize(r_off);
-    bench::Summary s_all = bench::summarize(r_all);
+    bench::Summary s_units = bench::summarize(r_units);
     bench::record_row(d.name, "sharded-off", s_off);
-    bench::record_row(d.name, "sharded-units", bench::summarize(r_units));
-    bench::record_row(d.name, "sharded-all", s_all);
-    bench::record_row(d.name, "sharded-busonly", bench::summarize(r_bus));
+    bench::record_row(d.name, "sharded-units", s_units);
 
     for (std::size_t p = 0; p < ts.num_properties(); ++p) {
-      if (r_units.per_property[p].verdict != r_off.per_property[p].verdict ||
-          r_all.per_property[p].verdict != r_off.per_property[p].verdict ||
-          r_bus.per_property[p].verdict != r_off.per_property[p].verdict) {
+      if (r_units.per_property[p].verdict != r_off.per_property[p].verdict) {
         exchange_matches_off = false;
       }
-      if (r_all.per_property[p].verdict != ja_result.per_property[p].verdict) {
+      if (r_units.per_property[p].verdict !=
+          ja_result.per_property[p].verdict) {
         sharded_matches_ja = false;
       }
     }
-    if (xs_all.delivered > 0) exchange_traffic = true;
-    bus_imports += xs_bus.imported;
-    delivered_total += xs_units.delivered + xs_all.delivered + xs_bus.delivered;
-    imported_total += xs_units.imported + xs_all.imported + xs_bus.imported;
-    redundant_total += xs_units.redundant + xs_all.redundant + xs_bus.redundant;
-    if (xs_bus.delivered > 0) {
-      hit_rate_sum += xs_bus.hit_rate();
-      hit_rate_runs++;
-    }
+    if (xs_units.delivered > 0) exchange_traffic = true;
+    delivered_total += xs_units.delivered;
+    imported_total += xs_units.imported;
+    redundant_total += xs_units.redundant;
 
     auto ft = [](const bench::Summary& s) {
       return std::to_string(s.num_false) + "(" + std::to_string(s.num_true) +
@@ -200,43 +181,33 @@ int main(int argc, char** argv) {
                 d.name.c_str(), design.num_latches(), design.num_properties(),
                 shards, ft(ja).c_str(), bench::fmt_time(ja.seconds).c_str(),
                 ft(s_off).c_str(), bench::fmt_time(s_off.seconds).c_str(),
-                ft(s_all).c_str(), bench::fmt_time(s_all.seconds).c_str());
+                ft(s_units).c_str(), bench::fmt_time(s_units.seconds).c_str());
 
     ja_total += ja.seconds;
-    sharded_total += s_all.seconds;
+    sharded_total += s_units.seconds;
   }
 
-  std::printf("\ntotals: JA %s, sharded(all) %s; exchange delivered %llu, "
-              "imported %llu, redundant %llu (bus-only imports %llu)\n",
+  std::printf("\ntotals: JA %s, sharded(units) %s; exchange delivered %llu, "
+              "imported %llu, redundant %llu\n",
               bench::fmt_time(ja_total).c_str(),
               bench::fmt_time(sharded_total).c_str(),
               static_cast<unsigned long long>(delivered_total),
               static_cast<unsigned long long>(imported_total),
-              static_cast<unsigned long long>(redundant_total),
-              static_cast<unsigned long long>(bus_imports));
+              static_cast<unsigned long long>(redundant_total));
   bench::record_metric("ja_total_seconds", ja_total);
-  bench::record_metric("sharded_all_total_seconds", sharded_total);
+  bench::record_metric("sharded_units_total_seconds", sharded_total);
   bench::record_metric("exchange_delivered", static_cast<double>(delivered_total));
   bench::record_metric("exchange_imported", static_cast<double>(imported_total));
   bench::record_metric("exchange_redundant", static_cast<double>(redundant_total));
-  bench::record_metric("exchange_busonly_imported", static_cast<double>(bus_imports));
-  bench::record_metric(
-      "exchange_busonly_hit_rate",
-      hit_rate_runs > 0 ? hit_rate_sum / static_cast<double>(hit_rate_runs)
-                        : 0.0);
 
   bench::print_shape(
       "lemma exchange reproduces the exchange-off verdicts exactly "
-      "(units, all, and bus-only modes)",
+      "(units mode)",
       exchange_matches_off);
   bench::print_shape("sharded scheduling matches JA verdict-for-verdict",
                      sharded_matches_ja);
   bench::print_shape("the lemma exchange carries traffic (delivered > 0)",
                      exchange_traffic);
-  bench::print_shape(
-      "with the ClauseDb channel off, the bus alone carries re-usable "
-      "strengthenings between sibling tasks (imports > 0)",
-      bus_imports > 0);
 
   if (tracer_ptr != nullptr) {
     std::ofstream out(trace_out, std::ios::binary);

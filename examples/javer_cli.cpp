@@ -153,12 +153,10 @@ void usage(std::FILE* out) {
 "                         (default: 0.5)\n"
 "  --max-cluster-size N   cap on properties per cluster; oversized\n"
 "                         would-be clusters split    (default: 64)\n"
-"  --lemma-exchange M     off | units | all\n"
+"  --lemma-exchange M     off | units\n"
 "                           off    no cross-engine traffic\n"
-"                           units  BMC prefix units seed sibling IC3\n"
+"                           units  BMC prefix units seed the shard's IC3\n"
 "                                  tasks' F_inf (re-validated in-engine)\n"
-"                           all    units + IC3 strengthenings to sibling\n"
-"                                  tasks and back into the shard's BMC\n"
 "                         (default: units)\n"
 "\n"
 "strategy knobs:\n"
@@ -368,7 +366,7 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       auto mode = javer::mp::exchange::parse_exchange_mode(v);
       if (!mode) {
         std::fprintf(stderr,
-                     "javer_cli: --lemma-exchange wants off|units|all, "
+                     "javer_cli: --lemma-exchange wants off|units, "
                      "got '%s'\n", v);
         return false;
       }

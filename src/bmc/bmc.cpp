@@ -50,35 +50,6 @@ void Bmc::make_next_frame() {
     encoder_.bind(next, l.var, encoder_.lit(cur, l.next));
   }
   frames_.push_back(std::move(next));
-  for (const ts::Cube& c : invariant_cubes_) {
-    assert_invariant_clause(frames_.back(), c);
-  }
-}
-
-void Bmc::assert_invariant_clause(cnf::Encoder::Frame& frame,
-                                  const ts::Cube& cube) {
-  std::vector<sat::Lit> clause;
-  clause.reserve(cube.size());
-  for (const ts::StateLit& l : cube) {
-    sat::Lit lit =
-        encoder_.lit(frame, aig::Lit::make(ts_.aig().latches()[l.latch].var));
-    clause.push_back(l.value ? ~lit : lit);
-  }
-  solver_.add_clause(clause);
-}
-
-std::size_t Bmc::add_invariant_cubes(const std::vector<ts::Cube>& cubes) {
-  std::size_t added = 0;
-  for (const ts::Cube& c : cubes) {
-    if (c.empty()) continue;
-    ts::Cube sorted = c;
-    ts::sort_cube(sorted);
-    if (!invariant_seen_.insert(sorted).second) continue;
-    for (cnf::Encoder::Frame& f : frames_) assert_invariant_clause(f, sorted);
-    invariant_cubes_.push_back(std::move(sorted));
-    added++;
-  }
-  return added;
 }
 
 std::vector<ts::Cube> Bmc::prefix_unit_candidates(int max_step) {

@@ -77,27 +77,15 @@ class Bmc {
   // is returned at most once per Bmc lifetime.
   std::vector<ts::Cube> prefix_unit_candidates(int max_step);
 
-  // Asserts ¬cube at every unrolling step, current and future. Sound only
-  // for cubes whose negation is invariant under (a subset of) the assumed
-  // sets this instance's run() calls use — the caller guarantees that;
-  // nothing is re-validated here. Returns how many cubes were new.
-  std::size_t add_invariant_cubes(const std::vector<ts::Cube>& cubes);
-
  private:
   void make_next_frame();
-  // Asserts ¬cube over `frame`'s latch literals.
-  void assert_invariant_clause(cnf::Encoder::Frame& frame,
-                               const ts::Cube& cube);
   ts::Trace extract_trace(std::size_t depth);
 
   const ts::TransitionSystem& ts_;
   sat::Solver solver_;
   cnf::Encoder encoder_;
   std::vector<cnf::Encoder::Frame> frames_;
-  // Imported invariant cubes, re-asserted on every new frame; `seen`
-  // dedups imports, `mined` dedups prefix_unit_candidates exports.
-  std::vector<ts::Cube> invariant_cubes_;
-  std::set<ts::Cube> invariant_seen_;
+  // Cubes prefix_unit_candidates already returned.
   std::set<ts::Cube> mined_units_;
 };
 

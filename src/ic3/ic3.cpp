@@ -392,16 +392,6 @@ void Ic3::add_lemma_candidates(std::vector<ts::Cube> cubes) {
   }
 }
 
-std::vector<ts::Cube> Ic3::take_new_inf_lemmas() {
-  // Before seed validation inf_cubes_ is still subject to wholesale
-  // replacement, so nothing is exportable yet.
-  if (phase_ == Phase::SeedValidation) return {};
-  std::vector<ts::Cube> out(inf_cubes_.begin() + inf_exported_,
-                            inf_cubes_.end());
-  inf_exported_ = inf_cubes_.size();
-  return out;
-}
-
 void Ic3::absorb_lemma_candidates() {
   if (lemma_queue_.empty()) return;
   std::vector<ts::Cube> pending = std::move(lemma_queue_);
@@ -708,10 +698,6 @@ Ic3Result Ic3::run(const Ic3Budget& budget) {
   try {
     if (phase_ == Phase::SeedValidation) {
       validate_seed_clauses();
-      // Validated seeds are not lemma traffic: every sibling seeded from
-      // the same ClauseDb validates the same candidates itself, so
-      // exporting them would only re-publish what the db already shared.
-      inf_exported_ = inf_cubes_.size();
       phase_ = Phase::Mining;
     }
     if (phase_ == Phase::Mining) {

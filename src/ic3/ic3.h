@@ -182,12 +182,6 @@ class Ic3 {
   // so arbitrary (even unsound) candidates can never flip a verdict.
   void add_lemma_candidates(std::vector<ts::Cube> cubes);
 
-  // F_inf cubes proven since the last call (validated seeds, promoted
-  // obligations, accepted lemmas) — the engine's outgoing lemma traffic.
-  // Each is invariant under this engine's assumption set. Empty until
-  // seed validation has run.
-  std::vector<ts::Cube> take_new_inf_lemmas();
-
  private:
   struct Timeout {};  // internal control-flow signal: hard budget expiry
   struct Suspend {};  // internal control-flow signal: slice budget expiry
@@ -351,7 +345,6 @@ class Ic3 {
   std::vector<std::vector<ts::Cube>> frame_cubes_;  // delta encoding
   std::vector<ts::Cube> inf_cubes_;  // F_inf: seeds + globally inductive
   std::vector<ts::Cube> lemma_queue_;   // candidates pending re-validation
-  std::size_t inf_exported_ = 0;  // take_new_inf_lemmas cursor
 
   std::vector<Obligation> pool_;
   // Min-heap entries: (frame, insertion order, pool index).

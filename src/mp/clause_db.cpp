@@ -9,7 +9,6 @@ namespace javer::mp {
 ClauseDb::ClauseDb(const ClauseDb& other) {
   base::MutexLock lock(other.mutex_);
   cubes_ = other.cubes_;
-  version_ = other.version_;
 }
 
 std::size_t ClauseDb::add(const std::vector<ts::Cube>& cubes) {
@@ -20,10 +19,7 @@ std::size_t ClauseDb::add(const std::vector<ts::Cube>& cubes) {
     ts::sort_cube(sorted);
     if (cubes_.insert(sorted).second) added++;
   }
-  if (added > 0) {
-    version_++;
-    cache_.reset();
-  }
+  if (added > 0) cache_.reset();
   return added;
 }
 
@@ -39,11 +35,6 @@ std::shared_ptr<const std::vector<ts::Cube>> ClauseDb::shared_snapshot()
   return cache_;
 }
 
-std::uint64_t ClauseDb::version() const {
-  base::MutexLock lock(mutex_);
-  return version_;
-}
-
 std::size_t ClauseDb::size() const {
   base::MutexLock lock(mutex_);
   return cubes_.size();
@@ -52,7 +43,6 @@ std::size_t ClauseDb::size() const {
 void ClauseDb::clear() {
   base::MutexLock lock(mutex_);
   cubes_.clear();
-  version_++;
   cache_.reset();
 }
 

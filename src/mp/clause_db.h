@@ -8,7 +8,6 @@
 #ifndef JAVER_MP_CLAUSE_DB_H
 #define JAVER_MP_CLAUSE_DB_H
 
-#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -30,12 +29,9 @@ class ClauseDb {
 
   std::vector<ts::Cube> snapshot() const;
   // Immutable view of the current cube set, materialized at most once per
-  // version: concurrent seed snapshots of an unchanged database share one
+  // change: concurrent seed snapshots of an unchanged database share one
   // vector instead of each deep-copying the set under the mutex.
   std::shared_ptr<const std::vector<ts::Cube>> shared_snapshot() const;
-  // Bumped whenever the cube set changes; lets callers skip re-seeding
-  // when nothing new has been published since their last snapshot.
-  std::uint64_t version() const;
   std::size_t size() const;
   void clear();
 
@@ -48,8 +44,7 @@ class ClauseDb {
  private:
   mutable base::Mutex mutex_;
   std::set<ts::Cube> cubes_ GUARDED_BY(mutex_);
-  std::uint64_t version_ GUARDED_BY(mutex_) = 0;
-  // Cache of the current version's snapshot; invalidated on mutation.
+  // Cache of the current cube set's snapshot; invalidated on mutation.
   mutable std::shared_ptr<const std::vector<ts::Cube>> cache_
       GUARDED_BY(mutex_);
 };

@@ -1,87 +1,55 @@
 #include "mp/exchange/lemma_bus.h"
 
+#include <cstddef>
 #include <string>
 
 namespace javer::mp::exchange {
 
 const char* to_string(ExchangeMode m) {
-  switch (m) {
-    case ExchangeMode::Off: return "off";
-    case ExchangeMode::Units: return "units";
-    default: return "all";
-  }
+  return m == ExchangeMode::Off ? "off" : "units";
 }
 
 std::optional<ExchangeMode> parse_exchange_mode(const std::string& text) {
   if (text == "off") return ExchangeMode::Off;
   if (text == "units") return ExchangeMode::Units;
-  if (text == "all") return ExchangeMode::All;
   return std::nullopt;
 }
 
-LemmaBus::LemmaBus(std::size_t num_shards, ExchangeMode mode) : mode_(mode) {
+LemmaBus::LemmaBus(std::size_t num_shards, ExchangeMode mode)
+    : enabled_(mode != ExchangeMode::Off) {
   channels_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     channels_.push_back(std::make_unique<Channel>());
   }
 }
 
-std::size_t LemmaBus::publish(std::size_t shard, LemmaKind kind,
-                              std::size_t producer,
+std::size_t LemmaBus::publish(std::size_t shard,
                               const std::vector<ts::Cube>& cubes) {
-  if (cubes.empty() || shard >= channels_.size()) return 0;
+  if (!enabled_ || cubes.empty() || shard >= channels_.size()) return 0;
   Channel& ch = *channels_[shard];
-  if (mode_ == ExchangeMode::Off ||
-      (mode_ == ExchangeMode::Units && kind != LemmaKind::BmcUnit)) {
-    mode_filtered_ += cubes.size();
-    base::MutexLock lock(ch.mutex);
-    ch.stats.mode_filtered += cubes.size();
-    return 0;
-  }
-  std::size_t accepted = 0;
   {
     base::MutexLock lock(ch.mutex);
-    for (const ts::Cube& c : cubes) {
-      if (c.empty()) continue;
-      ts::Cube sorted = c;
-      ts::sort_cube(sorted);
-      if (!ch.seen.insert(sorted).second) {
-        duplicates_++;
-        ch.stats.duplicates++;
-        continue;
-      }
-      ch.log.push_back(Lemma{std::move(sorted), kind, producer});
-      accepted++;
-    }
-    ch.stats.published += accepted;
+    ch.log.insert(ch.log.end(), cubes.begin(), cubes.end());
+    ch.stats.published += cubes.size();
   }
-  published_ += accepted;
-  if (accepted > 0) {
-    trace_.with_shard(static_cast<int>(shard))
-        .instant("exchange", kind == LemmaKind::BmcUnit
-                                 ? "publish_bmc_units"
-                                 : "publish_ic3_strengthening");
-  }
-  return accepted;
+  trace_.with_shard(static_cast<int>(shard))
+      .instant("exchange", "publish_bmc_units");
+  return cubes.size();
 }
 
-std::vector<Lemma> LemmaBus::poll(std::size_t shard, Cursor& cursor,
-                                  std::optional<LemmaKind> kind,
-                                  std::optional<std::size_t> exclude_producer) {
-  std::vector<Lemma> out;
+std::vector<ts::Cube> LemmaBus::poll(std::size_t shard, Cursor& cursor) {
+  std::vector<ts::Cube> out;
   if (shard >= channels_.size()) return out;
   Channel& ch = *channels_[shard];
   {
     base::MutexLock lock(ch.mutex);
-    for (; cursor.next < ch.log.size(); ++cursor.next) {
-      const Lemma& l = ch.log[cursor.next];
-      if (kind && l.kind != *kind) continue;
-      if (exclude_producer && l.producer == *exclude_producer) continue;
-      out.push_back(l);
+    if (cursor.next < ch.log.size()) {
+      out.assign(ch.log.begin() + static_cast<std::ptrdiff_t>(cursor.next),
+                 ch.log.end());
+      cursor.next = ch.log.size();
     }
     ch.stats.delivered += out.size();
   }
-  delivered_ += out.size();
   if (!out.empty()) {
     trace_.with_shard(static_cast<int>(shard)).instant("exchange", "deliver");
   }
@@ -90,11 +58,7 @@ std::vector<Lemma> LemmaBus::poll(std::size_t shard, Cursor& cursor,
 
 void LemmaBus::record_import(std::size_t shard, std::uint64_t imported,
                              std::uint64_t rejected, std::uint64_t redundant) {
-  if (mode_ == ExchangeMode::Off) return;
-  imported_ += imported;
-  rejected_ += rejected;
-  redundant_ += redundant;
-  if (shard >= channels_.size()) return;
+  if (!enabled_ || shard >= channels_.size()) return;
   Channel& ch = *channels_[shard];
   base::MutexLock lock(ch.mutex);
   ch.stats.imported += imported;
@@ -111,13 +75,14 @@ std::size_t LemmaBus::log_size(std::size_t shard) const {
 
 ExchangeStats LemmaBus::stats() const {
   ExchangeStats s;
-  s.published = published_.load();
-  s.duplicates = duplicates_.load();
-  s.mode_filtered = mode_filtered_.load();
-  s.delivered = delivered_.load();
-  s.imported = imported_.load();
-  s.rejected = rejected_.load();
-  s.redundant = redundant_.load();
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    ExchangeStats c = channel_stats(i);
+    s.published += c.published;
+    s.delivered += c.delivered;
+    s.imported += c.imported;
+    s.rejected += c.rejected;
+    s.redundant += c.redundant;
+  }
   return s;
 }
 

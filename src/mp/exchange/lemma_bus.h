@@ -1,17 +1,13 @@
-// LemmaBus: the thread-safe cross-engine clause channel behind the
-// sharded scheduler (mp/shard). Each shard owns one channel; lemmas
-// published into it never leave it, which is the subscription filter that
-// keeps exchange sound across cluster boundaries: a lemma is only ever
-// consumed by engines whose assumption sets the producing shard's
-// engines are compatible with (and IC3 consumers re-validate every
-// candidate in their own context regardless).
+// LemmaBus: the thread-safe channel behind the sharded scheduler's lemma
+// exchange (mp/shard). Each shard owns one channel with one producer, the
+// shard's BmcSweep: the unit cubes it learned about the unrolling prefix
+// are offered to the shard's IC3 tasks as F_inf candidates. Lemmas
+// published into a channel never leave it, and every IC3 consumer
+// re-validates each candidate in its own context, so the traffic can save
+// work but never flip a verdict.
 //
-// Traffic directions (ISSUE/ROADMAP "cross-engine lemma exchange"):
-//  * BmcUnit — unit cubes a shard's shared BMC sweep learned about the
-//    unrolling prefix, offered to the shard's IC3 tasks as F_inf seed
-//    candidates;
-//  * Ic3Strengthening — F_inf cubes an IC3 task proved, offered to
-//    sibling IC3 tasks and published back into the shard's BMC solver.
+// Proven IC3 strengthenings do not travel here: they reach sibling tasks
+// through the ClauseDb (mp/clause_db.h), the paper's clauseDB.
 //
 // Consumers are cursor-based: each holds its own Cursor into the
 // channel's append-only log, so polling is independent per consumer and
@@ -19,11 +15,9 @@
 #ifndef JAVER_MP_EXCHANGE_LEMMA_BUS_H
 #define JAVER_MP_EXCHANGE_LEMMA_BUS_H
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -35,37 +29,22 @@ namespace javer::mp::exchange {
 
 enum class ExchangeMode : std::uint8_t {
   Off,    // no traffic at all
-  Units,  // BMC prefix units into IC3 only
-  All,    // units + IC3 strengthenings (to sibling IC3 tasks and BMC)
+  Units,  // BMC prefix units into IC3
 };
 
 const char* to_string(ExchangeMode m);
-// Parses "off" / "units" / "all"; nullopt otherwise (CLI plumbing).
+// Parses "off" / "units"; nullopt otherwise (CLI plumbing).
 std::optional<ExchangeMode> parse_exchange_mode(const std::string& text);
 
-enum class LemmaKind : std::uint8_t { BmcUnit, Ic3Strengthening };
-
-// Producer id a shard's BMC sweep publishes under; IC3 producers use
-// their property index, so the two can never collide.
-inline constexpr std::size_t kBmcProducer = static_cast<std::size_t>(-1);
-
-struct Lemma {
-  ts::Cube cube;
-  LemmaKind kind = LemmaKind::BmcUnit;
-  std::size_t producer = kBmcProducer;
-};
-
-// Aggregate traffic counters; `imported`/`rejected` are filled in by the
+// Traffic counters; `imported`/`rejected`/`redundant` are filled in by the
 // consumers' re-validation reports (record_import), so
 // imported / delivered is the exchange hit rate the benches track.
 struct ExchangeStats {
-  std::uint64_t published = 0;      // lemmas accepted into a channel
-  std::uint64_t duplicates = 0;     // publishes suppressed by dedup
-  std::uint64_t mode_filtered = 0;  // publishes dropped by the mode
-  std::uint64_t delivered = 0;      // lemmas handed out by poll()
-  std::uint64_t imported = 0;       // survived a consumer's re-validation
-  std::uint64_t rejected = 0;       // failed a consumer's re-validation
-  std::uint64_t redundant = 0;      // delivered but already proven there
+  std::uint64_t published = 0;  // lemmas accepted into a channel
+  std::uint64_t delivered = 0;  // lemmas handed out by poll()
+  std::uint64_t imported = 0;   // survived a consumer's re-validation
+  std::uint64_t rejected = 0;   // failed a consumer's re-validation
+  std::uint64_t redundant = 0;  // delivered but already proven there
 
   double hit_rate() const {
     return delivered == 0
@@ -83,29 +62,21 @@ class LemmaBus {
 
   LemmaBus(std::size_t num_shards, ExchangeMode mode);
 
-  ExchangeMode mode() const { return mode_; }
-  bool enabled() const { return mode_ != ExchangeMode::Off; }
+  bool enabled() const { return enabled_; }
   std::size_t num_shards() const { return channels_.size(); }
 
-  // Publishes cubes into `shard`'s channel. Units mode accepts only
-  // BmcUnit lemmas, Off accepts nothing, and duplicate cubes per channel
-  // are suppressed (echoes of imported lemmas die here). Returns how many
-  // were accepted.
-  std::size_t publish(std::size_t shard, LemmaKind kind, std::size_t producer,
-                      const std::vector<ts::Cube>& cubes);
+  // Appends cubes to `shard`'s channel and returns how many were
+  // accepted; a disabled bus accepts nothing. The one producer, the
+  // shard's BmcSweep, offers each cube at most once.
+  std::size_t publish(std::size_t shard, const std::vector<ts::Cube>& cubes);
 
-  // Lemmas published to `shard` since `cursor`, advancing it to the end
-  // of the log. `kind` restricts to one kind; `exclude_producer` skips a
-  // consumer's own publications. Skipped entries are consumed too (the
-  // cursor never revisits them).
-  std::vector<Lemma> poll(std::size_t shard, Cursor& cursor,
-                          std::optional<LemmaKind> kind = std::nullopt,
-                          std::optional<std::size_t> exclude_producer =
-                              std::nullopt);
+  // Cubes published to `shard` since `cursor`, advancing it to the end of
+  // the log.
+  std::vector<ts::Cube> poll(std::size_t shard, Cursor& cursor);
 
   // Consumers report their re-validation outcome for `shard`'s channel
-  // here so stats()/channel_stats() can expose the hit rate. Ignored in
-  // Off mode: a disabled bus delivers nothing, so no report can be about
+  // here so stats()/channel_stats() can expose the hit rate. Ignored when
+  // the bus is disabled: it delivers nothing, so no report can be about
   // bus traffic — letting one through would make the bench hit-rate
   // metrics claim imports for a bus that was off.
   void record_import(std::size_t shard, std::uint64_t imported,
@@ -115,7 +86,7 @@ class LemmaBus {
   // not — the log never shrinks).
   std::size_t log_size(std::size_t shard) const;
 
-  // Process-wide totals across every channel.
+  // Totals across every channel.
   ExchangeStats stats() const;
   // One channel's own traffic (per-shard exchange summary in
   // print_report). Out-of-range shards report all-zero.
@@ -129,26 +100,13 @@ class LemmaBus {
  private:
   struct Channel {
     base::Mutex mutex;
-    std::vector<Lemma> log GUARDED_BY(mutex);   // append-only
-    std::set<ts::Cube> seen GUARDED_BY(mutex);  // per-channel dedup
-    // This channel's share of the totals.
+    std::vector<ts::Cube> log GUARDED_BY(mutex);  // append-only
     ExchangeStats stats GUARDED_BY(mutex);
   };
 
-  ExchangeMode mode_;
+  bool enabled_;
   obs::TraceSink trace_;
   std::vector<std::unique_ptr<Channel>> channels_;
-  // Process-wide totals, updated outside the per-channel mutexes.
-  // Relaxed accumulators: each is an independent monotonic counter;
-  // stats() reads are point-in-time sums, not a consistent cut across
-  // counters (the per-channel stats under their mutex are).
-  std::atomic<std::uint64_t> published_{0};
-  std::atomic<std::uint64_t> duplicates_{0};
-  std::atomic<std::uint64_t> mode_filtered_{0};
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> imported_{0};
-  std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> redundant_{0};
 };
 
 }  // namespace javer::mp::exchange

@@ -75,11 +75,10 @@ void print_report(std::ostream& out, const ts::TransitionSystem& ts,
   }
   for (std::size_t s = 0; s < result.exchange_per_shard.size(); ++s) {
     const exchange::ExchangeStats& xs = result.exchange_per_shard[s];
-    out << "  exchange shard " << s << ": published " << xs.published << " (+"
-        << xs.duplicates << " dup, " << xs.mode_filtered
-        << " filtered), delivered " << xs.delivered << ", imported "
-        << xs.imported << ", rejected " << xs.rejected << ", redundant "
-        << xs.redundant << " [hit rate "
+    out << "  exchange shard " << s << ": published " << xs.published
+        << ", delivered " << xs.delivered << ", imported " << xs.imported
+        << ", rejected " << xs.rejected << ", redundant " << xs.redundant
+        << " [hit rate "
         << static_cast<int>(xs.hit_rate() * 100.0 + 0.5) << "%]\n";
   }
   if (result.sim_stats.patterns > 0) {

@@ -54,7 +54,7 @@ std::size_t BmcSweep::process_seeds(std::vector<PropertyTask*>& by_prop) {
     bmc::Bmc seed_bmc(ts_, &seed.prefix.steps.back().state);
     bmc::BmcOptions bo;
     bo.assumed = assumed_;
-    bo.max_depth = std::max(0, opts_.engine.sim_filter.seed_window);
+    bo.max_depth = simfilter::kSeedWindow;
     bo.profile = obs::ProfileSink(opts_.engine.profiler, trace_shard_,
                                   static_cast<long long>(seed.prop));
     bmc::BmcResult br = seed_bmc.run({seed.prop}, bo);
@@ -131,10 +131,7 @@ std::size_t BmcSweep::sweep(const std::vector<PropertyTask*>& tasks,
     return seed_closed;
   }
 
-  double budget = opts_.bmc_sweep_seconds;
-  if (remaining_seconds > 0 && (budget <= 0 || remaining_seconds < budget)) {
-    budget = remaining_seconds;
-  }
+  const double budget = std::max(0.0, remaining_seconds);
   Deadline sweep_deadline(budget);
 
   bmc::BmcOptions bo;
@@ -178,7 +175,7 @@ std::size_t BmcSweep::sweep(const std::vector<PropertyTask*>& tasks,
     empty_streak_++;  // a fully clean window, not a budget cut
   }
   if (depth_done_ >= opts_.bmc_max_depth ||
-      empty_streak_ >= opts_.bmc_empty_sweeps_to_stop) {
+      empty_streak_ >= kEmptySweepsToStop) {
     exhausted_ = true;
   }
   if (progress_ != nullptr) {
@@ -206,12 +203,6 @@ std::vector<ts::Cube> BmcSweep::harvest_unit_candidates() {
   // Completed bounds are 0 .. depth_done_-1; deeper frames may exist but
   // carry no assumed/constraint units yet, so their facts are weaker.
   return bmc_.prefix_unit_candidates(depth_done_ - 1);
-}
-
-std::size_t BmcSweep::install_invariant_cubes(
-    const std::vector<ts::Cube>& cubes) {
-  if (exhausted_ || cubes.empty()) return 0;
-  return bmc_.add_invariant_cubes(cubes);
 }
 
 }  // namespace javer::mp::sched

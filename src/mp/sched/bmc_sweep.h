@@ -2,10 +2,9 @@
 // rounds — one incremental unrolling, extended window by window, with the
 // "just assume" constraints asserted on every completed bound. Extracted
 // from the Scheduler's hybrid policy so the sharded scheduler (mp/shard)
-// can run one sweep per cluster shard; it is also the BMC endpoint of the
+// can run one sweep per cluster shard; it is also the producer of the
 // cross-engine lemma exchange (mp/exchange): learned prefix units flow
-// out as candidates, proven IC3 strengthenings flow back in as permanent
-// unrolling clauses.
+// out to the shard's IC3 tasks as candidates.
 #ifndef JAVER_MP_SCHED_BMC_SWEEP_H
 #define JAVER_MP_SCHED_BMC_SWEEP_H
 
@@ -34,8 +33,8 @@ class BmcSweep {
 
   // One falsification window over the open tasks (closed ones are
   // skipped); resolves every task that fails inside the window and
-  // returns how many it closed. `remaining_seconds` caps the window on
-  // top of the per-sweep budget (0 = no extra cap).
+  // returns how many it closed. `remaining_seconds` caps the window
+  // (0 = unlimited).
   std::size_t sweep(const std::vector<PropertyTask*>& tasks,
                     double remaining_seconds);
 
@@ -47,19 +46,13 @@ class BmcSweep {
     exhausted_ = true;
     seeds_.clear();
   }
-  int depth_done() const { return depth_done_; }
-  const std::vector<std::size_t>& assumed() const { return assumed_; }
 
-  // --- lemma exchange endpoints (mp/exchange) ---
+  // --- lemma exchange producer (mp/exchange) ---
 
   // Candidate invariant cubes mined from the solver's root-level facts
-  // about the completed prefix. Candidates only: consumers re-validate.
+  // about the completed prefix, each at most once per sweep. Candidates
+  // only: consumers re-validate.
   std::vector<ts::Cube> harvest_unit_candidates();
-
-  // Asserts ¬cube at every unrolling step. Sound only for cubes invariant
-  // under a subset of this sweep's assumed set — the shard layer checks
-  // that before calling. No-op once the sweep is exhausted.
-  std::size_t install_invariant_cubes(const std::vector<ts::Cube>& cubes);
 
   // Shard tag for this sweep's trace events and counters (src/obs); -1 =
   // unsharded. The tracer/metrics handles come from the engine options.
@@ -68,7 +61,7 @@ class BmcSweep {
   // --- near-miss prefix seeding (mp/simfilter, Full mode) ---
 
   // Queues "just assume" prefix seeds for the next sweep() call. Each seed
-  // opens a dedicated bounded unrolling (sim_filter.seed_window deep) from
+  // opens a dedicated bounded unrolling (simfilter::kSeedWindow deep) from
   // the seed's final simulated state; a counterexample found there is
   // stitched onto the prefix and re-validated through the witness-checker
   // oracle before it may close the task. Seeds are consumed even when the
@@ -94,7 +87,11 @@ class BmcSweep {
   std::uint64_t seed_hits_ = 0;
   std::uint64_t seed_discarded_ = 0;
   int depth_done_ = 0;    // completed bounds of the shared unrolling
-  int empty_streak_ = 0;  // consecutive sweeps without a counterexample
+  // Consecutive fully clean windows; kEmptySweepsToStop of them stop the
+  // sweep: the open set is (probably) all-true and BMC money is better
+  // spent on IC3.
+  int empty_streak_ = 0;
+  static constexpr int kEmptySweepsToStop = 2;
   bool exhausted_ = false;
   int trace_shard_ = -1;
   // Live-progress cell (obs/monitor.h, property -1); null = monitor off.

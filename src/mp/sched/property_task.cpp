@@ -321,18 +321,12 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
 
   ensure_engine(db);
 
-  // Incoming lemma traffic: everything siblings published since the last
-  // poll becomes candidates the engine re-validates at slice start.
+  // Incoming lemma traffic: every unit the shard's sweep published since
+  // the last poll becomes a candidate the engine re-validates at slice
+  // start.
   if (bus_ != nullptr && bus_->enabled()) {
-    std::vector<exchange::Lemma> lemmas =
-        bus_->poll(shard_, bus_cursor_, std::nullopt,
-                   /*exclude_producer=*/prop_);
-    if (!lemmas.empty()) {
-      std::vector<ts::Cube> cubes;
-      cubes.reserve(lemmas.size());
-      for (exchange::Lemma& l : lemmas) cubes.push_back(std::move(l.cube));
-      engine_->add_lemma_candidates(std::move(cubes));
-    }
+    std::vector<ts::Cube> lemmas = bus_->poll(shard_, bus_cursor_);
+    if (!lemmas.empty()) engine_->add_lemma_candidates(std::move(lemmas));
   }
 
   ic3::Ic3Budget slice;
@@ -382,17 +376,8 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
     progress_->touch();
   }
 
-  // Outgoing lemma traffic + import accounting for the bus hit rate.
+  // Import accounting for the bus hit rate.
   if (bus_ != nullptr && bus_->enabled()) {
-    // Strengthenings only travel in All mode; skip the F_inf copy (and
-    // the channel lock) when the mode filter would drop them anyway.
-    if (bus_->mode() == exchange::ExchangeMode::All) {
-      std::vector<ts::Cube> fresh = engine_->take_new_inf_lemmas();
-      if (!fresh.empty()) {
-        bus_->publish(shard_, exchange::LemmaKind::Ic3Strengthening, prop_,
-                      fresh);
-      }
-    }
     bus_->record_import(shard_, er.stats.lemmas_imported - reported_imported_,
                         er.stats.lemmas_rejected - reported_rejected_,
                         er.stats.lemmas_known - reported_known_);

@@ -117,8 +117,8 @@ class PropertyTask {
 
   // Subscribes this task to `shard`'s channel on `bus` (the sharded
   // scheduler's lemma exchange): every slice first feeds newly published
-  // lemmas into the engine as candidates and afterwards publishes the
-  // engine's fresh F_inf cubes. Call before the first slice.
+  // BMC prefix units into the engine as candidates and afterwards reports
+  // how many of them the engine imported. Call before the first slice.
   void attach_exchange(exchange::LemmaBus* bus, std::size_t shard);
 
   // Points this task's engine at a shared transition-relation template

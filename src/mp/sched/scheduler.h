@@ -56,15 +56,11 @@ struct SchedulerOptions {
   // --- HybridBmcIc3 knobs ---
   // IC3 budget slice per open property per round.
   double ic3_slice_seconds = 0.5;
-  std::uint64_t ic3_slice_conflicts = 0;
-  // Unrolling depth added per BMC sweep, the hard cap on the shared
-  // unrolling, and the wall-clock cap per sweep (0 = unlimited).
+  // Unrolling depth added per BMC sweep and the hard cap on the shared
+  // unrolling. A sweep's only wall-clock cap is what is left of the run's
+  // total time limit.
   int bmc_depth_per_sweep = 8;
   int bmc_max_depth = 64;
-  double bmc_sweep_seconds = 0.0;
-  // Stop sweeping after this many consecutive sweeps found nothing: the
-  // open set is (probably) all-true and BMC money is better spent on IC3.
-  int bmc_empty_sweeps_to_stop = 2;
 };
 
 class Scheduler {

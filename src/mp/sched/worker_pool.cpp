@@ -33,16 +33,6 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void WorkerPool::set_fail_fast(bool fail_fast) {
-  base::MutexLock lock(mutex_);
-  fail_fast_ = fail_fast;
-}
-
-bool WorkerPool::fail_fast() const {
-  base::MutexLock lock(mutex_);
-  return fail_fast_;
-}
-
 void WorkerPool::drain(const Job& job, bool caller) {
   const std::uint64_t begin = trace_.begin();
   std::uint64_t executed = 0;
@@ -54,11 +44,8 @@ void WorkerPool::drain(const Job& job, bool caller) {
     } catch (...) {
       // Record the first error for run() to rethrow, but keep draining:
       // one bad item must not starve the healthy ones still queued.
-      // Fail-fast mode (tests, abort-on-first-error callers) restores
-      // the old skip-everything behavior.
       base::MutexLock lock(mutex_);
       if (!error_) error_ = std::current_exception();
-      if (fail_fast_) next_.store(job.count);
     }
   }
   if (metrics_ != nullptr) {

@@ -56,19 +56,9 @@ class WorkerPool {
   // Runs fn(i) for every i in [0, n); blocks until all items completed.
   // The caller participates. If any fn throws, the first exception is
   // rethrown here — but the remaining queued items still run (isolation:
-  // one bad item must not starve its siblings). With set_fail_fast(true)
-  // the old behavior is restored: the first throw skips everything still
-  // queued (items already started elsewhere complete either way).
+  // one bad item must not starve its siblings).
   void run(std::size_t n, const std::function<void(std::size_t)>& fn)
       EXCLUDES(mutex_);
-
-  // Fail-fast is an explicit opt-in for tests and abort-on-first-error
-  // callers. Mutex-guarded (the annotation pass surfaced the previous
-  // unsynchronized write racing drain()'s locked read), so flipping it
-  // concurrently with a run is safe; items already claimed when the
-  // flag changes complete either way.
-  void set_fail_fast(bool fail_fast) EXCLUDES(mutex_);
-  bool fail_fast() const EXCLUDES(mutex_);
 
   // Observability (src/obs): per-drain "pool" spans on `sink`'s tracer
   // and pool.items_caller / pool.items_stolen / pool.idle_wakeups
@@ -94,7 +84,7 @@ class WorkerPool {
   // calling thread from the spawned (stealing) workers in the counters.
   void drain(const Job& job, bool caller) EXCLUDES(mutex_);
 
-  mutable base::Mutex mutex_;
+  base::Mutex mutex_;
   base::CondVar start_cv_;
   base::CondVar done_cv_;
   std::vector<std::thread> workers_;
@@ -109,7 +99,6 @@ class WorkerPool {
   std::size_t active_ GUARDED_BY(mutex_) = 0;  // workers inside the job
   std::uint64_t generation_ GUARDED_BY(mutex_) = 0;
   bool shutdown_ GUARDED_BY(mutex_) = false;
-  bool fail_fast_ GUARDED_BY(mutex_) = false;
   std::exception_ptr error_ GUARDED_BY(mutex_);
 
   // Observability handles (value sink; null tracer/metrics = off). Set

@@ -154,7 +154,6 @@ MultiResult ShardedScheduler::run_tasks(
     std::uint64_t persist_key = 0;
     std::vector<std::unique_ptr<sched::PropertyTask>> tasks;
     std::unique_ptr<sched::BmcSweep> sweep;
-    exchange::LemmaBus::Cursor bmc_cursor;
   };
   std::vector<Shard> shards(clusters.size());
   for (std::size_t i = 0; i < clusters.size(); ++i) {
@@ -255,26 +254,6 @@ MultiResult ShardedScheduler::run_tasks(
     }
     return open;
   };
-  // A producing engine's F_inf lemmas are invariant relative to traces
-  // whose non-final steps satisfy the engine's *target* property and its
-  // assumed set (the frame solvers' path constraint asserts both).
-  // Installing one into a sweep's unrolling is sound only when the sweep
-  // asserts at least that much on its prefix — true for every non-ETF
-  // local producer (its target ∪ assumptions is exactly the sweep's
-  // assumed set), false for ETF producers and in global mode, which this
-  // filter rejects.
-  auto producer_compatible = [&](std::size_t producer,
-                                 const sched::BmcSweep& sweep) {
-    if (producer == exchange::kBmcProducer) return true;
-    std::vector<std::size_t> under =
-        local ? sched::local_assumptions(ts_, producer)
-              : std::vector<std::size_t>{};
-    under.push_back(producer);
-    std::sort(under.begin(), under.end());
-    return std::includes(sweep.assumed().begin(), sweep.assumed().end(),
-                         under.begin(), under.end());
-  };
-
   if (!hybrid) {
     // RunToCompletion: every task drains on the pool. With one thread the
     // pool drains on the caller in item order, so one partition is the
@@ -289,8 +268,7 @@ MultiResult ShardedScheduler::run_tasks(
       while (t->open()) t->run_slice(sched::TaskBudget{}, s->db);
     });
   } else {  // HybridBmcIc3 rounds, two pool passes per round
-    const sched::TaskBudget slice{opts_.base.ic3_slice_seconds,
-                                  opts_.base.ic3_slice_conflicts};
+    const sched::TaskBudget slice{opts_.base.ic3_slice_seconds};
     int round = 0;
     while (!out_of_time()) {
       const std::uint64_t round_begin = sink.begin();
@@ -300,12 +278,12 @@ MultiResult ShardedScheduler::run_tasks(
       }
       if (live.empty()) break;
 
-      // Pass 1: per-shard BMC sweeps plus the sweeps' bus traffic.
+      // Pass 1: per-shard BMC sweeps, each publishing its prefix units.
       pool.run(live.size(), [&](std::size_t i) {
         Shard& s = *live[i];
-        // An exhausted sweep can neither find failures nor use or
-        // produce lemmas; skip its exchange traffic entirely. (The
-        // harvest below still runs on the round the sweep exhausts.)
+        // An exhausted sweep can neither find failures nor produce
+        // lemmas. (The harvest below still runs on the round the sweep
+        // exhausts.)
         if (s.sweep->exhausted()) return;
         // Recompute the remaining budget per item: with fewer workers
         // than shards the sweeps serialize, and each must only get what
@@ -314,32 +292,9 @@ MultiResult ShardedScheduler::run_tasks(
         double remaining =
             total_limit > 0 ? total_limit - total.seconds() : 0.0;
         try {
-          if (bus.enabled()) {
-            std::vector<exchange::Lemma> lemmas =
-                bus.poll(s.id, s.bmc_cursor,
-                         exchange::LemmaKind::Ic3Strengthening,
-                         exchange::kBmcProducer);
-            if (!lemmas.empty()) {
-              std::vector<ts::Cube> cubes;
-              cubes.reserve(lemmas.size());
-              for (exchange::Lemma& l : lemmas) {
-                if (producer_compatible(l.producer, *s.sweep)) {
-                  cubes.push_back(std::move(l.cube));
-                }
-              }
-              std::size_t installed = s.sweep->install_invariant_cubes(cubes);
-              // Incompatible producers are rejections; compatible lemmas
-              // the unrolling already had (or could no longer use) are
-              // redundant deliveries.
-              bus.record_import(s.id, installed, lemmas.size() - cubes.size(),
-                                cubes.size() - installed);
-            }
-          }
           s.sweep->sweep(open_in(s), remaining);
           if (bus.enabled()) {
-            bus.publish(s.id, exchange::LemmaKind::BmcUnit,
-                        exchange::kBmcProducer,
-                        s.sweep->harvest_unit_candidates());
+            bus.publish(s.id, s.sweep->harvest_unit_candidates());
           }
         } catch (const std::exception& e) {
           // A sweep failure is quarantined to its shard: mark the sweep
@@ -413,8 +368,6 @@ MultiResult ShardedScheduler::run_tasks(
   // Zero deltas register no key, so a run without exchange adds none.
   if (metrics != nullptr) {
     metrics->add("exchange.published", exchange_stats_.published);
-    metrics->add("exchange.duplicates", exchange_stats_.duplicates);
-    metrics->add("exchange.mode_filtered", exchange_stats_.mode_filtered);
     metrics->add("exchange.delivered", exchange_stats_.delivered);
     metrics->add("exchange.imported", exchange_stats_.imported);
     metrics->add("exchange.rejected", exchange_stats_.rejected);

@@ -12,15 +12,13 @@
 // shard's BMC sweep, then a second pass slices every open IC3 task —
 // tasks of a slow shard never hold up the rest.
 //
-// The shards are stitched together by the LemmaBus (mp/exchange): a
-// sweep's learned prefix units seed its shard's IC3 tasks' F_inf (after
-// in-engine re-validation), and proven IC3 strengthenings flow back into
-// the shard's BMC unrolling and to sibling tasks. Each shard has its own
-// channel — the subscription filter that keeps lemmas from crossing
-// cluster boundaries — and the assumed-set compatibility of every
-// BMC-bound lemma is checked before installation, so exchange can never
-// flip a verdict (tests/test_shard.cpp proves this against exchange-off
-// oracle runs).
+// Within a shard, proven strengthenings travel through the shard's
+// ClauseDb, and the LemmaBus (mp/exchange) carries one more thing: the
+// sweep's learned prefix units, offered to the shard's IC3 tasks as F_inf
+// candidates. Each shard has its own channel, so units never cross
+// cluster boundaries, and every engine re-validates each unit in its own
+// context, so exchange can never flip a verdict (tests/test_shard.cpp
+// checks this against exchange-off and oracle runs).
 #ifndef JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 #define JAVER_MP_SHARD_SHARDED_SCHEDULER_H
 

@@ -27,13 +27,12 @@ struct SimFilterOptions {
   // same patterns and produce the same kills/signatures/seeds. The CLI
   // default is 1 (javer_cli --seed).
   std::uint64_t seed = 1;
-  // Wall-clock cap on the sweep; 0 = bounded by depth/patterns only.
-  double time_budget_seconds = 0.0;
-  // Full mode: cap on exported near-miss prefix seeds (total, not per
-  // property) and the bounded BMC window explored from each seed state.
-  int max_seeds = 8;
-  int seed_window = 8;
 };
+
+// Full mode: cap on exported near-miss prefix seeds (total, not per
+// property) and the bounded BMC window explored from each seed state.
+inline constexpr int kMaxSeeds = 8;
+inline constexpr int kSeedWindow = 8;
 
 struct SimFilterStats {
   std::uint64_t rounds = 0;      // 64-pattern words simulated

@@ -8,6 +8,7 @@
 #include "aig/sim.h"
 #include "base/log.h"
 #include "base/rng.h"
+#include "base/timer.h"
 #include "mp/sched/property_task.h"
 #include "mp/sched/worker_pool.h"
 #include "obs/metrics.h"
@@ -103,12 +104,10 @@ void SimFilter::run(const std::vector<std::size_t>& targets,
 
   const std::size_t rounds = (static_cast<std::size_t>(opts_.patterns) + 63) / 64;
   rounds_.assign(rounds, Round{});
-  Deadline deadline(opts_.time_budget_seconds);
-  const Deadline* dl = opts_.time_budget_seconds > 0 ? &deadline : nullptr;
   if (pool != nullptr && rounds > 1) {
-    pool->run(rounds, [&](std::size_t r) { run_round(r, dl); });
+    pool->run(rounds, [&](std::size_t r) { run_round(r); });
   } else {
-    for (std::size_t r = 0; r < rounds; ++r) run_round(r, dl);
+    for (std::size_t r = 0; r < rounds; ++r) run_round(r);
   }
 
   // Everything below combines the rounds in index order, so the kills,
@@ -155,15 +154,15 @@ void SimFilter::run(const std::vector<std::size_t>& targets,
   }
 
   // Near-miss seeds (Full): best prefix per still-open property, capped
-  // at max_seeds total. The prefix is a plain simulation replay — no
+  // at kMaxSeeds total. The prefix is a plain simulation replay — no
   // failure involved — so it needs no oracle here; BmcSweep re-validates
   // whatever it derives from it.
-  if (opts_.mode == SimFilterMode::Full && opts_.max_seeds > 0) {
+  if (opts_.mode == SimFilterMode::Full) {
     std::vector<char> seeded(ts_.num_properties(), 0);
     for (const Round& rd : rounds_) {
-      if (static_cast<int>(seeds_.size()) >= opts_.max_seeds) break;
+      if (static_cast<int>(seeds_.size()) >= kMaxSeeds) break;
       for (std::size_t ti = 0; ti < targets_.size(); ++ti) {
-        if (static_cast<int>(seeds_.size()) >= opts_.max_seeds) break;
+        if (static_cast<int>(seeds_.size()) >= kMaxSeeds) break;
         const std::size_t p = targets_[ti];
         const Round::Hit& hit = rd.near[ti];
         if (hit.step < 0 || killed[p] || seeded[p]) continue;
@@ -203,7 +202,7 @@ void SimFilter::run(const std::vector<std::size_t>& targets,
                   << stats_.signature_groups << " signature group(s)";
 }
 
-void SimFilter::run_round(std::size_t r, const Deadline* deadline) {
+void SimFilter::run_round(std::size_t r) {
   Round& rd = rounds_[r];
   const aig::Aig& aig = ts_.aig();
   const std::size_t num_props = ts_.num_properties();
@@ -243,7 +242,6 @@ void SimFilter::run_round(std::size_t r, const Deadline* deadline) {
   std::uint64_t alive = ~0ULL;
 
   for (int step = 0; step < opts_.depth && alive != 0; ++step) {
-    if (deadline != nullptr && deadline->expired()) break;
     std::vector<std::uint64_t>& in = rd.inputs[step];
     for (std::size_t j = 0; j < in.size(); ++j) in[j] = rng.next();
     sim.eval(state, in);

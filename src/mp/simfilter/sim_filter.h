@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "aig/aig.h"
-#include "base/timer.h"
 #include "mp/simfilter/options.h"
 #include "ts/trace.h"
 #include "ts/transition_system.h"
@@ -112,7 +111,7 @@ class SimFilter {
     std::uint64_t candidates = 0;
   };
 
-  void run_round(std::size_t r, const Deadline* deadline);
+  void run_round(std::size_t r);
   // Replays pattern `pattern` of round `rd` through the scalar simulator
   // into a trace of steps 0..last_step (inclusive).
   ts::Trace replay(const Round& rd, int pattern, int last_step) const;

@@ -286,23 +286,6 @@ TEST(WorkerPool, IsolatesAThrowingItemByDefault) {
   for (std::size_t i = 0; i < ran.size(); ++i) EXPECT_EQ(ran[i], 1) << i;
 }
 
-TEST(WorkerPool, FailFastSkipsTheRemainingQueue) {
-  mp::sched::WorkerPool pool(1);
-  pool.set_fail_fast(true);
-  std::vector<int> ran(6, 0);
-  auto fn = [&](std::size_t i) {
-    ran[i] = 1;
-    if (i == 2) throw std::runtime_error("boom");
-  };
-  EXPECT_THROW(pool.run(ran.size(), fn), std::runtime_error);
-  EXPECT_EQ(ran[0], 1);
-  EXPECT_EQ(ran[1], 1);
-  EXPECT_EQ(ran[2], 1);  // the throwing item itself started
-  EXPECT_EQ(ran[3], 0);
-  EXPECT_EQ(ran[4], 0);
-  EXPECT_EQ(ran[5], 0);
-}
-
 // --- scheduler: recovery, exhaustion, site matrix ----------------------------
 
 TEST(FaultRecovery, OneShotFaultRetriesOnceAndMatchesFaultFree) {

@@ -6,7 +6,9 @@
 #include "aig/builder.h"
 #include "cnf/tseitin.h"
 #include "gen/counter.h"
+#include "gen/synthetic.h"
 #include "ic3/ic3.h"
+#include "mp/sched/property_task.h"
 #include "ts/trace.h"
 #include "test_util.h"
 
@@ -157,6 +159,38 @@ TEST(Ic3, SeedClausesAcceptedAndInvalidOnesDropped) {
   EXPECT_EQ(r.stats.seed_clauses_kept, 1u);
   EXPECT_EQ(r.stats.seed_clauses_dropped, 2u);
   testutil::expect_valid_invariant(ts, 0, {}, r.invariant);
+}
+
+TEST(Ic3, LemmaCandidatesImportedOnlyWhenTheyRevalidate) {
+  // One-hot ring: P0's local proof needs one strengthening cube. Under
+  // local JA every sibling has the same path set (all non-ETF
+  // properties), so that cube is inductive in their contexts too.
+  aig::Aig aig = gen::make_ring(6);
+  ts::TransitionSystem ts(aig);
+  Ic3Options p0;
+  p0.assumed = mp::sched::local_assumptions(ts, 0);
+  Ic3Result proof = Ic3(ts, 0, p0).run();
+  ASSERT_EQ(proof.status, CheckStatus::Holds);
+  ASSERT_EQ(proof.invariant.size(), 1u);
+
+  // The proven cube plus both values of latch 0: one of those contains
+  // the reset state, the other is not inductive.
+  std::vector<ts::Cube> candidates = proof.invariant;
+  candidates.push_back(ts::Cube{ts::StateLit{0, true}});
+  candidates.push_back(ts::Cube{ts::StateLit{0, false}});
+  for (std::size_t p = 1; p < ts.num_properties(); ++p) {
+    Ic3Options opts;
+    opts.assumed = mp::sched::local_assumptions(ts, p);
+    const CheckStatus plain = Ic3(ts, p, opts).run().status;
+    ASSERT_EQ(plain, CheckStatus::Holds) << "P" << p;
+    Ic3 engine(ts, p, opts);
+    engine.add_lemma_candidates(candidates);
+    Ic3Result r = engine.run();
+    EXPECT_EQ(r.status, plain) << "P" << p;
+    EXPECT_EQ(r.stats.lemmas_imported, 1u) << "P" << p;
+    EXPECT_EQ(r.stats.lemmas_rejected, 2u) << "P" << p;
+    testutil::expect_valid_invariant(ts, p, opts.assumed, r.invariant);
+  }
 }
 
 TEST(Ic3, BothLiftingModesAgreeOnCounter) {

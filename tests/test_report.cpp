@@ -91,7 +91,6 @@ TEST(Report, PrintsPerShardExchangeLines) {
   MultiResult r = sample_result();
   r.exchange_per_shard.resize(2);
   r.exchange_per_shard[0].published = 4;
-  r.exchange_per_shard[0].duplicates = 1;
   r.exchange_per_shard[0].delivered = 4;
   r.exchange_per_shard[0].imported = 3;
   r.exchange_per_shard[0].rejected = 1;
@@ -103,13 +102,11 @@ TEST(Report, PrintsPerShardExchangeLines) {
   std::ostringstream out;
   print_report(out, ts, r);
   std::string text = out.str();
-  EXPECT_NE(text.find("exchange shard 0: published 4 (+1 dup, 0 filtered), "
-                      "delivered 4, imported 3, rejected 1, redundant 0 "
-                      "[hit rate 75%]"),
+  EXPECT_NE(text.find("exchange shard 0: published 4, delivered 4, "
+                      "imported 3, rejected 1, redundant 0 [hit rate 75%]"),
             std::string::npos);
-  EXPECT_NE(text.find("exchange shard 1: published 2 (+0 dup, 0 filtered), "
-                      "delivered 2, imported 1, rejected 0, redundant 1 "
-                      "[hit rate 50%]"),
+  EXPECT_NE(text.find("exchange shard 1: published 2, delivered 2, "
+                      "imported 1, rejected 0, redundant 1 [hit rate 50%]"),
             std::string::npos);
 }
 

@@ -2,10 +2,8 @@
 // tests for the concrete races the thread-safety annotation pass
 // surfaced and fixed:
 //
-//  * WorkerPool::set_fail_fast used to write the flag with no lock while
-//    drain() read it under the mutex — flipping it during a run was a
-//    data race. It is mutex-guarded now; the concurrent-flip test fails
-//    under -fsanitize=thread against the old code.
+//  * WorkerPool publishes each run's job descriptor under its mutex; the
+//    back-to-back-runs test pins that no worker ever drains a stale one.
 //
 //  * ProgressMonitor::start/stop used to assign thread_ outside any
 //    lock, and two concurrent stop() calls could double-join the
@@ -21,7 +19,6 @@
 #include <chrono>
 #include <cstddef>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,41 +82,6 @@ TEST(Sync, CondVarWaitForTimesOut) {
   javer::base::MutexLock lock(mu);
   // Nobody notifies: wait_for must come back on its own, lock held.
   cv.wait_for(mu, std::chrono::milliseconds(1));
-}
-
-// Regression (TSan): flipping fail-fast from another thread while a run
-// drains used to race drain()'s locked read of the flag.
-TEST(Sync, WorkerPoolSetFailFastDuringRun) {
-  WorkerPool pool(4);
-  std::atomic<int> executed{0};
-  for (int round = 0; round < 10; ++round) {
-    std::thread flipper([&] {
-      pool.set_fail_fast(round % 2 == 0);
-      pool.set_fail_fast(false);
-    });
-    pool.run(64, [&](std::size_t) {
-      executed.fetch_add(1, std::memory_order_relaxed);
-    });
-    flipper.join();
-  }
-  EXPECT_EQ(executed.load(), 10 * 64);
-  EXPECT_FALSE(pool.fail_fast());
-}
-
-TEST(Sync, WorkerPoolFailFastStillSkipsQueued) {
-  WorkerPool pool(2);
-  pool.set_fail_fast(true);
-  EXPECT_TRUE(pool.fail_fast());
-  std::atomic<int> executed{0};
-  EXPECT_THROW(
-      pool.run(1000,
-               [&](std::size_t i) {
-                 if (i == 0) throw std::runtime_error("boom");
-                 executed.fetch_add(1, std::memory_order_relaxed);
-               }),
-      std::runtime_error);
-  // Fail-fast skips the queued tail (in-flight items may still finish).
-  EXPECT_LT(executed.load(), 1000);
 }
 
 // Regression (TSan): the job descriptor is copied out under the mutex;

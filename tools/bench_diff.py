@@ -54,8 +54,6 @@ POLICY = {
     "table11": {
         "metrics": {
             "exchange_delivered": {"mode": "min", "value": 1},
-            "exchange_imported": {"mode": "min", "value": 1},
-            "exchange_busonly_imported": {"mode": "min", "value": 1},
         },
     },
     "table14": {
