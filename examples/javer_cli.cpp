@@ -81,7 +81,6 @@ struct CliOptions {
   bool progress_verbose = false;
   double progress_interval = 5.0;
   double watchdog_sec = 30.0;
-  bool watchdog_preempt = false;
   std::vector<std::size_t> etf;
 };
 
@@ -214,10 +213,8 @@ void usage(std::FILE* out) {
 "  --progress-verbose   progress plus per-task rows, stalest first\n"
 "  --watchdog-sec S     stall threshold: a running task with no activity\n"
 "                       for S seconds emits a watchdog/stall trace\n"
-"                       instant + obs.stalls metric   (default: 30)\n"
-"  --watchdog-preempt   stalled tasks additionally get a soft-suspend\n"
-"                       request through the IC3 budget poll, so the\n"
-"                       scheduler reschedules them (implies monitoring)\n"
+"                       instant + obs.stalls metric   (default: 30); the\n"
+"                       watchdog only observes, it never suspends a task\n"
 "  --log-level L        silent | info | verbose | debug (or 0..3): engine\n"
 "                       logging on stderr           (default: silent)\n"
 "  --witness            print AIGER witnesses for failed properties on\n"
@@ -448,8 +445,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
                      "got '%s'\n", v);
         return false;
       }
-    } else if (arg == "--watchdog-preempt") {
-      opts.watchdog_preempt = true;
     } else if (arg == "--log-level") {
       const char* v = next("--log-level");
       if (v == nullptr) return false;
@@ -646,7 +641,7 @@ int main(int argc, char** argv) {
   obs::Tracer* tracer_ptr = cli.trace_out.empty() ? nullptr : &tracer;
   // The watchdog wants the stall counter even without --metrics-out, and
   // the "fault:" summary line wants the fault.*/retry.* counters.
-  const bool monitor_on = cli.progress || cli.watchdog_preempt;
+  const bool monitor_on = cli.progress;
   const bool fault_on = !cli.fault_inject.empty();
   obs::MetricsRegistry* metrics_ptr =
       (cli.metrics_out.empty() && !monitor_on && !fault_on) ? nullptr
@@ -663,7 +658,6 @@ int main(int argc, char** argv) {
     mon_opts.interval_seconds = cli.progress_interval;
     mon_opts.verbose = cli.progress_verbose;
     mon_opts.stall_seconds = cli.watchdog_sec;
-    mon_opts.preempt = cli.watchdog_preempt;
     // Progress lines go to stderr: stdout carries the report (or, with
     // --witness, pure witness data).
     mon_opts.out = cli.progress ? &std::cerr : nullptr;

@@ -86,44 +86,6 @@ void Simulator::step_state(std::vector<bool>& out) const {
   }
 }
 
-TernarySimulator::TernarySimulator(const Aig& aig) : aig_(aig) {
-  values_.resize(aig.num_nodes(), Ternary::X);
-}
-
-void TernarySimulator::eval(const std::vector<Ternary>& state,
-                            const std::vector<Ternary>& inputs) {
-  if (state.size() != aig_.num_latches() ||
-      inputs.size() != aig_.num_inputs()) {
-    throw std::invalid_argument("ternary sim: size mismatch");
-  }
-  values_[0] = Ternary::False;
-  for (std::size_t i = 0; i < aig_.num_inputs(); ++i) {
-    values_[aig_.inputs()[i]] = inputs[i];
-  }
-  for (std::size_t i = 0; i < aig_.num_latches(); ++i) {
-    values_[aig_.latches()[i].var] = state[i];
-  }
-  for (Var v = 1; v < aig_.num_nodes(); ++v) {
-    const Node& n = aig_.node(v);
-    if (n.type == NodeType::And) {
-      values_[v] = ternary_and(value(n.fanin0), value(n.fanin1));
-    }
-  }
-}
-
-Ternary TernarySimulator::value(Lit l) const {
-  Ternary v = values_[l.var()];
-  return l.complemented() ? ternary_not(v) : v;
-}
-
-std::vector<Ternary> TernarySimulator::next_state() const {
-  std::vector<Ternary> next(aig_.num_latches());
-  for (std::size_t i = 0; i < aig_.num_latches(); ++i) {
-    next[i] = value(aig_.latches()[i].next);
-  }
-  return next;
-}
-
 std::vector<bool> initial_state(const Aig& aig, bool x_fill) {
   std::vector<bool> s(aig.num_latches());
   for (std::size_t i = 0; i < aig.num_latches(); ++i) {

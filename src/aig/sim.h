@@ -1,7 +1,6 @@
-// AIG simulation: 64-way parallel bit simulation and three-valued
-// (ternary) simulation. Used for counterexample validation, first-failure
-// analysis, the mp/simfilter falsification sweeps and workload-generator
-// sanity checks.
+// AIG simulation: 64-way parallel and single-pattern bit simulation. Used
+// for counterexample validation, first-failure analysis, the mp/simfilter
+// falsification sweeps and workload-generator sanity checks.
 #ifndef JAVER_AIG_SIM_H
 #define JAVER_AIG_SIM_H
 
@@ -57,22 +56,6 @@ class Simulator {
  private:
   const Aig& aig_;
   std::vector<std::uint8_t> values_;
-};
-
-// Three-valued simulation; X models unknown/unassigned bits.
-class TernarySimulator {
- public:
-  explicit TernarySimulator(const Aig& aig);
-
-  void eval(const std::vector<Ternary>& state,
-            const std::vector<Ternary>& inputs);
-
-  Ternary value(Lit l) const;
-  std::vector<Ternary> next_state() const;
-
- private:
-  const Aig& aig_;
-  std::vector<Ternary> values_;
 };
 
 // The design's initial state; latches with X reset get `x_fill`.

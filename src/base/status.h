@@ -7,19 +7,8 @@
 
 namespace javer {
 
-// Three-valued logic used for simulation values and query answers.
+// Three-valued latch reset value: X leaves the latch's initial value free.
 enum class Ternary : std::uint8_t { False = 0, True = 1, X = 2 };
-
-inline Ternary ternary_not(Ternary t) {
-  if (t == Ternary::X) return Ternary::X;
-  return t == Ternary::True ? Ternary::False : Ternary::True;
-}
-
-inline Ternary ternary_and(Ternary a, Ternary b) {
-  if (a == Ternary::False || b == Ternary::False) return Ternary::False;
-  if (a == Ternary::True && b == Ternary::True) return Ternary::True;
-  return Ternary::X;
-}
 
 inline const char* to_string(Ternary t) {
   switch (t) {

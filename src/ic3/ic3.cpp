@@ -197,7 +197,6 @@ void Ic3::poll_budget() const {
     // on every obligation/propagation boundary, and the stores are
     // relaxed atomics (monitor.h), so this costs nanoseconds.
     opts_.progress->publish_engine(top_frame_, stats_.obligations);
-    if (opts_.progress->preempt_requested()) throw Suspend{};
   }
   if (opts_.time_limit_seconds > 0 && deadline_.expired()) throw Timeout{};
   if (!slicing_) return;

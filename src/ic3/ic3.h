@@ -78,9 +78,7 @@ struct Ic3Options {
   // branch per query, no clock reads.
   obs::ProfileSink profile;
   // Live progress cell (obs/monitor.h): the budget poll publishes
-  // frames/obligations/activity through it, and a pending soft-preempt
-  // request makes the poll suspend exactly like an exhausted slice
-  // budget (resumable Unknown). Null = disabled.
+  // frames/obligations/activity through it. Null = disabled.
   obs::TaskProgress* progress = nullptr;
 };
 

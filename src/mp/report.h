@@ -42,7 +42,6 @@ struct PropertyResult {
   std::vector<ts::Cube> invariant;
   int spurious_restarts = 0;  // §7-A: re-runs with strict lifting
   int slices = 0;             // scheduler budget slices this task consumed
-  double slice_scale = 1.0;   // final adaptive slice-size multiplier
   ic3::Ic3Stats engine_stats;
   // Resilience (src/fault + the degrade-and-retry ladder in
   // mp/sched/property_task.h): one entry per caught task failure, as

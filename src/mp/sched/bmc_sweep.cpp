@@ -111,7 +111,14 @@ std::size_t BmcSweep::sweep(const std::vector<PropertyTask*>& tasks,
   // Seeds run even when the shared unrolling is exhausted: their windows
   // are independent, bounded and cheap.
   std::size_t seed_closed = seeds_.empty() ? 0 : process_seeds(by_prop);
-  if (exhausted_) return seed_closed;
+  if (exhausted_) {
+    // Done for good (also when it started exhausted or was disabled): a
+    // terminal cell keeps the watchdog from reporting it as stalled.
+    if (progress_ != nullptr) {
+      progress_->set_state(obs::ProgressState::kUnknown);
+    }
+    return seed_closed;
+  }
   const obs::TraceSink sink(opts_.engine.tracer, trace_shard_);
   const std::uint64_t span_begin = sink.begin();
   const int window_begin = depth_done_;

@@ -38,7 +38,6 @@ class BmcSweep {
   std::size_t sweep(const std::vector<PropertyTask*>& tasks,
                     double remaining_seconds);
 
-  bool exhausted() const { return exhausted_; }
   // Quarantines the sweep after a caught failure (fault isolation): the
   // shared unrolling is marked exhausted and pending seeds are dropped,
   // so the IC3 slices carry the remaining work alone.

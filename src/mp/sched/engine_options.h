@@ -64,9 +64,9 @@ struct EngineOptions {
   obs::MetricsRegistry* metrics = nullptr;
   // Run-health monitor (obs/monitor.h): when set, every PropertyTask and
   // BmcSweep registers a progress cell and publishes state / frames /
-  // depth / slice scale / activity lock-free; a ProgressMonitor sampling
-  // the board renders live reports and runs the stall watchdog (which
-  // may request soft preemption through the IC3 budget poll).
+  // depth / activity lock-free; a ProgressMonitor sampling the board
+  // renders live reports and runs the stall watchdog, which only
+  // observes.
   obs::ProgressBoard* progress = nullptr;
   // Phase profiler (obs/profile.h): per-(phase, shard, property) latency
   // histograms for SAT queries and engine phases; --profile-out.

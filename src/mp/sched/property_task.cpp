@@ -14,10 +14,7 @@ namespace javer::mp::sched {
 
 namespace {
 
-// Adaptive slice sizing bounds (next_slice_scale) and the retry budget of
-// the degrade ladder (fail_slice).
-constexpr double kSliceScaleMin = 0.25;
-constexpr double kSliceScaleMax = 4.0;
+// The retry budget of the degrade ladder (fail_slice).
 constexpr int kMaxTaskRetries = 4;
 
 obs::ProgressState to_progress(TaskState s) {
@@ -50,27 +47,6 @@ std::vector<std::size_t> local_assumptions(const ts::TransitionSystem& ts,
     if (j != prop && !ts.expected_to_fail(j)) assumed.push_back(j);
   }
   return assumed;
-}
-
-double next_slice_scale(double scale, bool budgeted, const ic3::Ic3Result& er,
-                        int frames_before, std::uint64_t clauses_before,
-                        std::uint64_t obligations_before) {
-  if (!budgeted) return scale;
-  // Only a suspended slice sizes the next one: terminal verdicts have no
-  // next slice, and a non-resumable slice's counters reflect a hard stop,
-  // not slice-shaped progress.
-  if (er.status != CheckStatus::Unknown || !er.resumable) return scale;
-  if (er.frames > frames_before) {
-    return std::min(scale * 2.0, kSliceScaleMax);
-  }
-  // Stalled = no clause landed AND no obligation was processed. A slice
-  // that popped obligations but suspended mid-generalization is making
-  // progress the clause counter has not seen yet.
-  if (er.stats.clauses_added == clauses_before &&
-      er.stats.obligations == obligations_before) {
-    return std::max(scale / 2.0, kSliceScaleMin);
-  }
-  return scale;
 }
 
 int num_ladder_rungs() { return 2; }
@@ -149,7 +125,6 @@ void PropertyTask::ensure_engine(ClauseDb* db) {
 void PropertyTask::close_holds(std::vector<ts::Cube> invariant,
                                ClauseDb* db) {
   state_ = TaskState::Holds;
-  slice_scale_ = 1.0;
   result_.verdict = local_mode_ ? PropertyVerdict::HoldsLocally
                                 : PropertyVerdict::HoldsGlobally;
   result_.invariant = std::move(invariant);
@@ -163,7 +138,6 @@ void PropertyTask::close_holds(std::vector<ts::Cube> invariant,
 
 void PropertyTask::finish_fails(ts::Trace cex) {
   state_ = TaskState::Fails;
-  slice_scale_ = 1.0;
   result_.verdict = local_mode_ ? PropertyVerdict::FailsLocally
                                 : PropertyVerdict::FailsGlobally;
   result_.cex = std::move(cex);
@@ -210,7 +184,6 @@ void PropertyTask::resolve_fails(ts::Trace cex, int frames) {
 void PropertyTask::close_unknown() {
   if (!open()) return;
   state_ = TaskState::Unknown;
-  slice_scale_ = 1.0;
   result_.verdict = PropertyVerdict::Unknown;
   fold_final_metrics();
   publish_state();
@@ -247,17 +220,9 @@ void PropertyTask::fail_slice(const std::string& reason) {
     sink.instant("fault", "task_failure", result_.slices, std::move(args));
   }
 
-  // Discard everything the failed engine touched — same full reset as the
-  // §7-A strict-lifting retry, cursor included (queued lemmas must reach
-  // the fresh engine).
-  engine_.reset();
-  engine_seconds_ = 0.0;
-  reported_imported_ = reported_rejected_ = reported_known_ = 0;
-  last_frames_ = 0;
-  last_clauses_ = last_obligations_ = 0;
-  slice_scale_ = 1.0;
-  result_.slice_scale = slice_scale_;
-  bus_cursor_ = {};
+  // Discard everything the failed engine touched, as the §7-A
+  // strict-lifting retry does.
+  reset_engine();
 
   if (result_.retries >= kMaxTaskRetries) {
     JAVER_LOG(Info) << "sched: P" << prop_
@@ -285,6 +250,13 @@ void PropertyTask::fail_slice(const std::string& reason) {
   publish_state();  // still open; the next slice runs the safer config
 }
 
+void PropertyTask::reset_engine() {
+  engine_.reset();
+  engine_seconds_ = 0.0;
+  reported_imported_ = reported_rejected_ = reported_known_ = 0;
+  bus_cursor_ = {};
+}
+
 void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
   double per_prop = engine_opts_.time_limit_per_property;
   double remaining = per_prop > 0 ? per_prop - engine_seconds_ : 0.0;
@@ -296,26 +268,19 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
   const obs::TraceSink sink(engine_opts_.tracer, obs_shard_,
                             static_cast<long long>(prop_));
   const int slice_index = result_.slices;  // ordinal of the slice we run now
-  const double applied_scale = slice_scale_;
   const std::uint64_t span_begin = sink.begin();
 
   if (progress_ != nullptr) {
-    // A task picked back up after a preempt-suspend must not be
-    // preempted again before doing any work.
-    progress_->clear_preempt();
     progress_->set_slices(static_cast<std::uint64_t>(result_.slices));
-    progress_->set_slice_scale(slice_scale_);
     state_ = TaskState::Running;
     publish_state();
   }
   // Injected stall (fault plan site "task.stall"): burn wall-clock before
   // the engine runs, without publishing any activity, so the watchdog
-  // sees a genuinely wedged slice; a preempt request still cuts it short
-  // (--watchdog-preempt).
+  // sees a genuinely wedged slice.
   if (double stall = fault::inject_stall("task.stall"); stall > 0) {
     Timer stall_timer;
     while (stall_timer.seconds() < stall) {
-      if (progress_ != nullptr && progress_->preempt_requested()) break;
     }
   }
 
@@ -332,27 +297,10 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
   ic3::Ic3Budget slice;
   slice.time_slice_seconds = budget.seconds;
   slice.conflict_slice = budget.conflicts;
-  const bool budgeted = budget.seconds > 0 || budget.conflicts > 0;
-  if (budgeted) {
-    if (slice.time_slice_seconds > 0) slice.time_slice_seconds *= slice_scale_;
-    if (slice.conflict_slice > 0) {
-      slice.conflict_slice = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(
-                 static_cast<double>(slice.conflict_slice) * slice_scale_));
-    }
-  }
   if (per_prop > 0 &&
       (slice.time_slice_seconds <= 0 || remaining < slice.time_slice_seconds)) {
     slice.time_slice_seconds = remaining;
   }
-
-  // Baselines from the *current* engine's previous slice (zero for a
-  // fresh engine); result_.engine_stats would be wrong here right after a
-  // strict-lifting retry, when it still holds the discarded engine's
-  // cumulative counters.
-  const int frames_before = last_frames_;
-  const std::uint64_t clauses_before = last_clauses_;
-  const std::uint64_t obligations_before = last_obligations_;
 
   Timer timer;
   ic3::Ic3Result er = engine_->run(slice);
@@ -365,9 +313,6 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
   // which report the final engine's stats).
   result_.engine_stats = er.stats;
   result_.slices++;
-  last_frames_ = er.frames;
-  last_clauses_ = er.stats.clauses_added;
-  last_obligations_ = er.stats.obligations;
   state_ = TaskState::Running;
   if (progress_ != nullptr) {
     progress_->set_frames(er.frames);
@@ -385,13 +330,6 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
     reported_rejected_ = er.stats.lemmas_rejected;
     reported_known_ = er.stats.lemmas_known;
   }
-
-  // Adaptive slice sizing: frames advanced => the slice is paying off,
-  // grow it; a slice that did nothing measurable is stalled, shrink.
-  slice_scale_ = next_slice_scale(slice_scale_, budgeted, er, frames_before,
-                                 clauses_before, obligations_before);
-  result_.slice_scale = slice_scale_;
-  if (progress_ != nullptr) progress_->set_slice_scale(slice_scale_);
 
   const char* outcome = nullptr;
   switch (er.status) {
@@ -419,19 +357,7 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
         JAVER_LOG(Verbose) << "sched: spurious local cex for P" << prop_
                            << "; strict-lifting retry";
         strict_lifting_ = true;
-        engine_.reset();
-        engine_seconds_ = 0.0;
-        reported_imported_ = reported_rejected_ = reported_known_ = 0;
-        // The fresh engine starts from scratch: its counters restart at
-        // zero (so do the slice baselines) and it earns its own slice
-        // scale rather than inheriting one sized for the old engine.
-        last_frames_ = 0;
-        last_clauses_ = last_obligations_ = 0;
-        slice_scale_ = 1.0;
-        result_.slice_scale = slice_scale_;
-        // Rewind the channel too: lemmas the discarded engine consumed
-        // (or still had queued) must reach the fresh strict engine.
-        bus_cursor_ = {};
+        reset_engine();
         result_.spurious_restarts++;
         sink.instant("task", "spurious_restart", slice_index);
         outcome = "spurious_restart";  // still open; next slice is strict
@@ -468,8 +394,7 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
   if (sink.enabled()) {
     std::string args = "\"outcome\":\"";
     args += outcome;
-    args += "\",\"slice_scale\":";
-    args += std::to_string(applied_scale);
+    args += '"';
     sink.complete("task", "slice", span_begin, slice_index, std::move(args));
   }
 }

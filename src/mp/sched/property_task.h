@@ -10,7 +10,8 @@
 // slice (so clause-database seeds are as fresh as possible) and kept
 // across slices: the scheduler can hand out small budget slices and
 // round-robin them over many open properties instead of burning a full
-// one-shot timeout on the first hard one. The §7-A spurious-counterexample
+// one-shot timeout on the first hard one. A slice is bounded by the
+// budget it is given, nothing else. The §7-A spurious-counterexample
 // strict-lifting retry lives here too: a spurious local CEX discards the
 // engine and restarts with lifting that respects the constraints.
 //
@@ -60,25 +61,6 @@ struct TaskBudget {
   double seconds = 0.0;
   std::uint64_t conflicts = 0;
 };
-
-// The adaptive slice-sizing decision, pure so tests can pin its
-// transitions. Every budgeted slice is scaled by a per-task multiplier;
-// unbudgeted (run-to-completion) slices are not. Returns the multiplier
-// for the *next* budgeted slice given what this slice achieved:
-//  * only budgeted slices that suspended (Unknown + resumable) adjust the
-//    scale — terminal and non-resumable slices have no next slice to
-//    size, so their (often partial) counters must not be classified;
-//  * frame progress doubles the scale (up to 4);
-//  * a slice that neither added a clause nor processed an obligation is
-//    genuinely stalled and halves it (down to 1/4). A slice
-//    that popped obligations but suspended mid-generalization is slow
-//    progress, not a stall: shrinking it would only make the next slice
-//    less likely to finish the same generalization.
-// The *_before baselines must come from the same engine that produced
-// `er` (PropertyTask resets them when it discards an engine).
-double next_slice_scale(double scale, bool budgeted, const ic3::Ic3Result& er,
-                        int frames_before, std::uint64_t clauses_before,
-                        std::uint64_t obligations_before);
 
 // --- degrade-and-retry ladder (resilience) --------------------------------
 //
@@ -155,16 +137,16 @@ class PropertyTask {
   // task is closed.
   PropertyResult& result() { return result_; }
 
-  // Current adaptive slice multiplier; 1.0 again once the task closes (a
-  // recycled task must not inherit a shrunken slice).
-  double slice_scale() const { return slice_scale_; }
-
  private:
   // The real slice body; run_slice wraps it in the isolation boundary.
   void run_slice_impl(const TaskBudget& budget, ClauseDb* db);
   // Handles one caught slice failure: records it, discards the engine,
   // and either climbs the retry ladder or closes the task Unknown.
   void fail_slice(const std::string& reason);
+  // Discards the engine and everything tied to it (its slice time, its
+  // import counters, the bus cursor), so the next slice starts a fresh
+  // engine that also sees every lemma the old one consumed.
+  void reset_engine();
   void ensure_engine(ClauseDb* db);
   // Publishes state (and touches activity) on the progress cell, if any.
   void publish_state();
@@ -192,16 +174,6 @@ class PropertyTask {
   // re-uses the same snapshot (matching the one-shot verifiers).
   std::shared_ptr<const std::vector<ts::Cube>> seeds_;
   double engine_seconds_ = 0.0;  // this engine's accumulated slice time
-  // Adaptive slice sizing: multiplier applied to budgeted slices, driven
-  // by per-slice progress (see next_slice_scale).
-  double slice_scale_ = 1.0;
-  // Progress baselines of the *current* engine at the end of its previous
-  // slice. Kept separately from result_.engine_stats, which survives a
-  // strict-lifting engine reset and would otherwise compare the fresh
-  // engine's counters against the discarded engine's.
-  int last_frames_ = 0;
-  std::uint64_t last_clauses_ = 0;
-  std::uint64_t last_obligations_ = 0;
   // Shared template memo (null = the engine keeps a private one).
   cnf::TemplateCache* templates_ = nullptr;
   // Lemma exchange plumbing (null = not attached).

@@ -281,10 +281,6 @@ MultiResult ShardedScheduler::run_tasks(
       // Pass 1: per-shard BMC sweeps, each publishing its prefix units.
       pool.run(live.size(), [&](std::size_t i) {
         Shard& s = *live[i];
-        // An exhausted sweep can neither find failures nor produce
-        // lemmas. (The harvest below still runs on the round the sweep
-        // exhausts.)
-        if (s.sweep->exhausted()) return;
         // Recompute the remaining budget per item: with fewer workers
         // than shards the sweeps serialize, and each must only get what
         // is actually left, not the round's opening balance.

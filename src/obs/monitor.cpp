@@ -198,13 +198,6 @@ ProgressMonitor::Totals ProgressMonitor::run_watchdog(
                     static_cast<long long>(age / 1000));
       sink.instant("watchdog", "stall", /*slice=*/-1, args);
     }
-    if (opts_.preempt && cell->property() >= 0) {
-      cell->request_preempt();
-      preempts_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_ != nullptr) {
-        metrics_->add("obs.preempts");
-      }
-    }
   }
   return t;
 }
@@ -223,10 +216,9 @@ void ProgressMonitor::render(std::ostream& out, const Totals& t,
                            t.running);
     std::snprintf(line, sizeof(line),
                   "progress: final t=%.1fs props=%zu holds=%zu fails=%zu "
-                  "unknown=%zu stalls=%llu preempts=%llu",
+                  "unknown=%zu stalls=%llu",
                   elapsed, t.props, t.holds, t.fails, unknown,
-                  static_cast<unsigned long long>(stall_events()),
-                  static_cast<unsigned long long>(preempt_requests()));
+                  static_cast<unsigned long long>(stall_events()));
   } else {
     std::size_t closed = t.holds + t.fails + t.unknown;
     std::snprintf(line, sizeof(line),
@@ -271,11 +263,10 @@ void ProgressMonitor::render(std::ostream& out, const Totals& t,
       if (cell->property() >= 0) {
         std::snprintf(row, sizeof(row),
                       "progress:   [s%d] P%lld %s frames=%d obls=%llu "
-                      "scale=%.2f slices=%llu idle=%.2fs",
+                      "slices=%llu idle=%.2fs",
                       cell->shard(), cell->property(),
                       state_name(cell->state()), cell->frames(),
                       static_cast<unsigned long long>(cell->obligations()),
-                      cell->slice_scale(),
                       static_cast<unsigned long long>(cell->slices()),
                       idle);
       } else {

@@ -19,9 +19,8 @@
 //    or verbose progress reports, and running the stall watchdog: a
 //    Running cell whose last-activity age exceeds the threshold emits
 //    one `watchdog/stall` trace instant + `obs.stalls` metric per stall
-//    episode, and (opt-in) requests a soft preempt that the IC3 budget
-//    poll turns into a clean suspend, so the scheduler reschedules the
-//    task instead of hanging behind it.
+//    episode. The watchdog only observes: it never suspends or
+//    reschedules a task.
 //
 // The monitor thread only ever reads the cells (it owns the one
 // non-atomic per-cell field, the stall-episode latch). poll() is public
@@ -81,10 +80,6 @@ class TaskProgress {
   void set_slices(std::uint64_t n) {
     slices_.store(n, std::memory_order_relaxed);
   }
-  void set_slice_scale(double scale) {
-    slice_scale_milli_.store(static_cast<int>(scale * 1000.0),
-                             std::memory_order_relaxed);
-  }
   // Stamps last-activity to now; the watchdog measures age from here.
   void touch();
   // One call for the IC3 budget-poll hot path: frames + obligations +
@@ -94,14 +89,6 @@ class TaskProgress {
     obligations_.store(obligations, std::memory_order_relaxed);
     touch();
   }
-
-  // Soft-preempt handshake: the watchdog requests, the engine's budget
-  // poll observes and suspends, the task clears at its next slice start.
-  bool preempt_requested() const {
-    return preempt_.load(std::memory_order_relaxed);
-  }
-  void request_preempt() { preempt_.store(true, std::memory_order_relaxed); }
-  void clear_preempt() { preempt_.store(false, std::memory_order_relaxed); }
 
   // --- monitor side ---
   int shard() const { return shard_.load(std::memory_order_relaxed); }
@@ -116,9 +103,6 @@ class TaskProgress {
   }
   std::uint64_t slices() const {
     return slices_.load(std::memory_order_relaxed);
-  }
-  double slice_scale() const {
-    return slice_scale_milli_.load(std::memory_order_relaxed) / 1000.0;
   }
   std::int64_t last_activity_us() const {
     return last_activity_us_.load(std::memory_order_relaxed);
@@ -136,9 +120,7 @@ class TaskProgress {
   std::atomic<int> depth_{0};
   std::atomic<std::uint64_t> obligations_{0};
   std::atomic<std::uint64_t> slices_{0};
-  std::atomic<int> slice_scale_milli_{1000};
   std::atomic<std::int64_t> last_activity_us_{0};
-  std::atomic<bool> preempt_{false};
   bool stalled_ = false;  // watchdog episode latch; monitor thread only
 };
 
@@ -168,7 +150,6 @@ struct MonitorOptions {
   double interval_seconds = 5.0;
   bool verbose = false;
   double stall_seconds = 30.0;
-  bool preempt = false;  // stalled tasks get a soft-suspend request
   std::ostream* out = nullptr;  // progress lines; null = no rendering
   std::size_t verbose_max_rows = 12;
 };
@@ -197,9 +178,6 @@ class ProgressMonitor {
   std::uint64_t stall_events() const {
     return stalls_.load(std::memory_order_relaxed);
   }
-  std::uint64_t preempt_requests() const {
-    return preempts_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Totals {
@@ -222,10 +200,9 @@ class ProgressMonitor {
   Tracer* tracer_;
   MetricsRegistry* metrics_;
 
-  // Relaxed counters: monotonic tallies read via the accessors; no
-  // ordering with the stall episodes they count is required.
+  // Relaxed counter: a monotonic tally read via stall_events(); no
+  // ordering with the stall episodes it counts is required.
   std::atomic<std::uint64_t> stalls_{0};
-  std::atomic<std::uint64_t> preempts_{0};
 
   // Serializes start()/stop() against each other (the annotation pass
   // surfaced the previous scheme: thread_ was assigned outside any lock

@@ -559,7 +559,6 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   }
 
   assumptions_.assign(assumptions.begin(), assumptions.end());
-  conflicts_at_solve_start_ = stats_.conflicts;
 
   // Never shrink the cap across incremental solves; raise it when the
   // problem grew. Geometric growth happens at each reduction.
@@ -571,13 +570,10 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
   while (result == SolveResult::Undecided) {
     double budget = luby(2.0, restart_count++) * kRestartBase;
     result = search(static_cast<std::int64_t>(budget));
-    if (result == SolveResult::Undecided) {
-      // Check budgets between restarts as well.
-      if (deadline_ != nullptr && deadline_->expired()) break;
-      if (conflict_budget_ > 0 &&
-          stats_.conflicts - conflicts_at_solve_start_ >= conflict_budget_) {
-        break;
-      }
+    // Check the deadline between restarts as well.
+    if (result == SolveResult::Undecided && deadline_ != nullptr &&
+        deadline_->expired()) {
+      break;
     }
   }
 
@@ -616,14 +612,8 @@ SolveResult Solver::search(std::int64_t conflicts_before_restart) {
       var_decay();
       cla_inc_ /= kClauseDecay;
 
-      if ((stats_.conflicts & 1023) == 0) {
-        if (deadline_ != nullptr && deadline_->expired()) {
-          cancel_until(0);
-          return SolveResult::Undecided;
-        }
-      }
-      if (conflict_budget_ > 0 &&
-          stats_.conflicts - conflicts_at_solve_start_ >= conflict_budget_) {
+      if ((stats_.conflicts & 1023) == 0 && deadline_ != nullptr &&
+          deadline_->expired()) {
         cancel_until(0);
         return SolveResult::Undecided;
       }

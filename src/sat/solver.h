@@ -57,8 +57,8 @@ class Solver : public ClauseSink {
   using ClauseSink::add_ternary;
   using ClauseSink::add_unit;
 
-  // Solves under the given assumptions. Undecided is returned only when a
-  // budget (deadline or conflict limit) expires.
+  // Solves under the given assumptions. Undecided is returned only when
+  // the deadline expires.
   SolveResult solve(std::span<const Lit> assumptions = {});
   SolveResult solve(std::initializer_list<Lit> assumptions);
 
@@ -86,12 +86,8 @@ class Solver : public ClauseSink {
   // True while the clause set is still possibly satisfiable at level 0.
   bool ok() const { return ok_; }
 
-  // Resource budgets. A null deadline / zero conflict budget disables the
-  // respective limit.
+  // Time budget for every later solve(); null disables it.
   void set_deadline(const Deadline* deadline) { deadline_ = deadline; }
-  void set_conflict_budget(std::uint64_t max_conflicts) {
-    conflict_budget_ = max_conflicts;
-  }
 
   // Prefer this polarity when branching on v (phase saving overrides later).
   void set_polarity(Var v, bool positive) { polarity_[v] = positive ? 1 : 0; }
@@ -190,8 +186,6 @@ class Solver : public ClauseSink {
   // learntsize factor/increment). Persists across incremental solves.
   double max_learnts_ = 0.0;
   const Deadline* deadline_ = nullptr;
-  std::uint64_t conflict_budget_ = 0;
-  std::uint64_t conflicts_at_solve_start_ = 0;
   SolverStats stats_;
 };
 

@@ -1,4 +1,4 @@
-// Unit tests for the base utilities: ternary logic, timers, RNG, logging.
+// Unit tests for the base utilities: status names, timers, RNG, logging.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,21 +10,6 @@
 
 namespace javer {
 namespace {
-
-TEST(Ternary, NotTruthTable) {
-  EXPECT_EQ(ternary_not(Ternary::True), Ternary::False);
-  EXPECT_EQ(ternary_not(Ternary::False), Ternary::True);
-  EXPECT_EQ(ternary_not(Ternary::X), Ternary::X);
-}
-
-TEST(Ternary, AndTruthTable) {
-  EXPECT_EQ(ternary_and(Ternary::True, Ternary::True), Ternary::True);
-  EXPECT_EQ(ternary_and(Ternary::True, Ternary::False), Ternary::False);
-  EXPECT_EQ(ternary_and(Ternary::False, Ternary::X), Ternary::False);
-  EXPECT_EQ(ternary_and(Ternary::X, Ternary::False), Ternary::False);
-  EXPECT_EQ(ternary_and(Ternary::X, Ternary::True), Ternary::X);
-  EXPECT_EQ(ternary_and(Ternary::X, Ternary::X), Ternary::X);
-}
 
 TEST(Ternary, ToString) {
   EXPECT_STREQ(to_string(Ternary::True), "1");

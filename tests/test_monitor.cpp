@@ -1,11 +1,10 @@
 // Run-health monitor tests (src/obs/monitor): the progress cell / board
-// plumbing, the stall watchdog's one-instant-per-episode latch and its
-// preemption handshake, the rendered report lines, and the end-to-end
-// acceptance criteria — a scheduler run's final board totals match the
-// report verdict counts, an artificially stalled task (the fault plan's
-// task.stall site) triggers exactly one watchdog/stall instant, and with
-// preemption on the stalled task is softly suspended, resumed, and still
-// produces its certified verdict.
+// plumbing, the stall watchdog's one-instant-per-episode latch, the
+// rendered report lines, and the end-to-end acceptance criteria — a
+// scheduler run's final board totals match the report verdict counts, and
+// an artificially stalled task (the fault plan's task.stall site)
+// triggers exactly one watchdog/stall instant while its run and verdicts
+// stay untouched.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "gen/synthetic.h"
-#include "ic3/certify.h"
 #include "mp/sched/scheduler.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
@@ -48,12 +46,10 @@ TEST(ProgressBoard, CellsPublishAndReadBackThroughStablePointers) {
   a->set_frames(6);
   a->set_obligations(42);
   a->set_slices(3);
-  a->set_slice_scale(2.5);
   EXPECT_EQ(a->state(), obs::ProgressState::kRunning);
   EXPECT_EQ(a->frames(), 6);
   EXPECT_EQ(a->obligations(), 42u);
   EXPECT_EQ(a->slices(), 3u);
-  EXPECT_DOUBLE_EQ(a->slice_scale(), 2.5);
 
   EXPECT_EQ(sweep->property(), -1);
   EXPECT_EQ(sweep->shard(), -1);
@@ -69,13 +65,6 @@ TEST(ProgressBoard, CellsPublishAndReadBackThroughStablePointers) {
   EXPECT_EQ(a->obligations(), 50u);
   EXPECT_GT(a->last_activity_us(), before);
   EXPECT_LE(a->last_activity_us(), board.now_us());
-
-  // The preempt handshake is a plain request/observe/clear cell.
-  EXPECT_FALSE(a->preempt_requested());
-  a->request_preempt();
-  EXPECT_TRUE(a->preempt_requested());
-  a->clear_preempt();
-  EXPECT_FALSE(a->preempt_requested());
 }
 
 // --- the stall watchdog ----------------------------------------------------
@@ -130,34 +119,6 @@ TEST(ProgressMonitor, WatchdogEmitsOneInstantPerStallEpisode) {
     }
   }
   EXPECT_EQ(stall_instants, 2u);
-
-  // Preemption was off: the watchdog observed but never intervened.
-  EXPECT_EQ(monitor.preempt_requests(), 0u);
-  EXPECT_FALSE(cell->preempt_requested());
-}
-
-TEST(ProgressMonitor, WatchdogPreemptsPropertyCellsButNotSweeps) {
-  obs::ProgressBoard board;
-  obs::MetricsRegistry metrics;
-  obs::MonitorOptions mo;
-  mo.stall_seconds = 0.05;
-  mo.preempt = true;
-  obs::ProgressMonitor monitor(&board, mo, /*tracer=*/nullptr, &metrics);
-
-  obs::TaskProgress* task = board.register_task(/*property=*/0, /*shard=*/0);
-  obs::TaskProgress* sweep = board.register_task(/*property=*/-1, 0);
-  task->set_state(obs::ProgressState::kRunning);
-  sweep->set_state(obs::ProgressState::kRunning);
-
-  sleep_seconds(0.15);
-  monitor.poll();
-  // Both cells stalled, but only the property task can be rescheduled —
-  // a preempted sweep has nowhere to yield to.
-  EXPECT_EQ(monitor.stall_events(), 2u);
-  EXPECT_EQ(monitor.preempt_requests(), 1u);
-  EXPECT_EQ(metrics.counter("obs.preempts"), 1u);
-  EXPECT_TRUE(task->preempt_requested());
-  EXPECT_FALSE(sweep->preempt_requested());
 }
 
 // --- rendered reports ------------------------------------------------------
@@ -208,7 +169,7 @@ TEST(ProgressMonitor, ReportsRenderCellTotalsAndFoldFinalUnknowns) {
   std::string final_line = out.str();
   EXPECT_NE(final_line.find("progress: final "), std::string::npos);
   EXPECT_NE(final_line.find(
-                "props=5 holds=2 fails=1 unknown=2 stalls=0 preempts=0"),
+                "props=5 holds=2 fails=1 unknown=2 stalls=0"),
             std::string::npos)
       << final_line;
   EXPECT_EQ(final_line.find("final", final_line.find("final") + 1),
@@ -232,8 +193,8 @@ gen::SyntheticSpec small_multi_cone() {
   return spec;
 }
 
-// A tiny all-true design for the stall/preemption tests: the injected
-// stall dominates the runtime, everything else proves in one frame.
+// A tiny all-true design for the stall test: the injected stall
+// dominates the runtime, everything else proves in one frame.
 gen::SyntheticSpec tiny_ring() {
   gen::SyntheticSpec spec;
   spec.seed = 7;
@@ -321,6 +282,30 @@ TEST(MonitorEndToEnd, FinalBoardTotalsMatchTheReportVerdicts) {
   EXPECT_NE(out.str().find(expect), std::string::npos) << out.str();
 }
 
+// A sweep with no depth budget starts exhausted; the rounds still call it
+// (for its near-miss seeds), and its cell must end terminal so the
+// watchdog never reports it as a stalled running unit.
+TEST(MonitorEndToEnd, SweepThatStartsExhaustedEndsTerminal) {
+  aig::Aig aig = gen::make_synthetic(small_multi_cone());
+  ts::TransitionSystem ts(aig);
+
+  obs::ProgressBoard board;
+  mp::sched::SchedulerOptions so;
+  so.proof_mode = mp::sched::ProofMode::Local;
+  so.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
+  so.bmc_max_depth = 0;
+  so.engine.progress = &board;
+  mp::sched::Scheduler(ts, so).run();
+
+  std::size_t sweep_cells = 0;
+  for (obs::TaskProgress* cell : board.entries()) {
+    if (cell->property() >= 0) continue;
+    sweep_cells++;
+    EXPECT_EQ(cell->state(), obs::ProgressState::kUnknown);
+  }
+  EXPECT_GE(sweep_cells, 1u);
+}
+
 TEST(MonitorEndToEnd, InjectedStallTriggersExactlyOneWatchdogInstant) {
   aig::Aig aig = gen::make_synthetic(tiny_ring());
   ts::TransitionSystem ts(aig);
@@ -368,64 +353,11 @@ TEST(MonitorEndToEnd, InjectedStallTriggersExactlyOneWatchdogInstant) {
   }
   EXPECT_EQ(stall_instants, 1u);
 
-  // The stall was observation-only (no preemption): the run itself is
-  // untouched and every property still proves.
+  // The watchdog only observes: the run itself is untouched and every
+  // property still proves.
   for (const mp::PropertyResult& pr : r.per_property) {
     EXPECT_EQ(pr.verdict, mp::PropertyVerdict::HoldsLocally);
   }
-  EXPECT_EQ(monitor.preempt_requests(), 0u);
-}
-
-TEST(MonitorEndToEnd, PreemptedStalledTaskResumesWithCertifiedVerdict) {
-  aig::Aig aig = gen::make_synthetic(tiny_ring());
-  ts::TransitionSystem ts(aig);
-
-  obs::ProgressBoard board;
-  obs::Tracer tracer;
-  obs::MetricsRegistry metrics;
-  obs::MonitorOptions mo;
-  mo.stall_seconds = 0.15;
-  mo.preempt = true;
-  mo.out = nullptr;
-  obs::ProgressMonitor monitor(&board, mo, &tracer, &metrics);
-
-  mp::sched::SchedulerOptions so;
-  so.proof_mode = mp::sched::ProofMode::Local;
-  so.dispatch = mp::sched::DispatchPolicy::RunToCompletion;
-  so.engine.progress = &board;
-  // Long enough that only the watchdog's preempt ends the quiet window
-  // (the stall spins until preempted, then the engine's budget poll
-  // turns the pending request into a clean Suspend).
-  so.engine.fault_plan = "task.stall:prop=0,stall=10";
-  mp::sched::Scheduler sched(ts, so);
-
-  std::atomic<bool> done{false};
-  mp::MultiResult r;
-  std::thread runner([&] {
-    r = sched.run();
-    done.store(true);
-  });
-  while (!done.load()) {
-    monitor.poll();
-    sleep_seconds(0.01);
-  }
-  runner.join();
-
-  EXPECT_GE(monitor.stall_events(), 1u);
-  EXPECT_GE(monitor.preempt_requests(), 1u);
-  EXPECT_EQ(metrics.counter("obs.preempts"), monitor.preempt_requests());
-
-  // The preempted task was suspended (its first slice ended early) and
-  // rescheduled: at least two slices, same verdict as every neighbour,
-  // and the strengthening it produced still certifies independently.
-  const mp::PropertyResult& pr = r.per_property[0];
-  EXPECT_GE(pr.slices, 2);
-  for (const mp::PropertyResult& each : r.per_property) {
-    EXPECT_EQ(each.verdict, mp::PropertyVerdict::HoldsLocally);
-  }
-  ic3::CertificateCheck check = ic3::certify_strengthening(
-      ts, /*prop=*/0, mp::sched::local_assumptions(ts, 0), pr.invariant);
-  EXPECT_TRUE(check.ok()) << check.failure;
 }
 
 }  // namespace

@@ -398,7 +398,6 @@ TEST(ObsEndToEnd, HybridSchedulerEmitsTaggedSliceSpansAndReconciles) {
       EXPECT_GE(ev.property, 0);
       EXPECT_GE(ev.slice, 0);
       EXPECT_NE(ev.args.find("\"outcome\":"), std::string::npos);
-      EXPECT_NE(ev.args.find("\"slice_scale\":"), std::string::npos);
     }
     if (std::string_view(ev.category) == "sched" &&
         std::string_view(ev.name) == "round") {

@@ -2,6 +2,7 @@
 // conflicts, assumptions, cores, incremental use.
 #include <gtest/gtest.h>
 
+#include "base/timer.h"
 #include "sat/solver.h"
 
 namespace javer::sat {
@@ -176,11 +177,12 @@ TEST(Solver, AddClausesBetweenSolves) {
   EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
-TEST(Solver, ConflictBudgetReturnsUndecided) {
-  // A hard instance (pigeonhole 8 into 7) with a tiny conflict budget must
-  // come back Undecided rather than hanging.
+TEST(Solver, DeadlineReturnsUndecided) {
+  // A hard instance (pigeonhole 10 into 9, seconds to refute) under a
+  // 20 ms deadline must come back Undecided from inside the search rather
+  // than run to the end.
   Solver s;
-  constexpr int n = 8;
+  constexpr int n = 10;
   std::vector<std::vector<Var>> p(n, std::vector<Var>(n - 1));
   for (auto& row : p) {
     for (Var& v : row) v = s.new_var();
@@ -197,9 +199,9 @@ TEST(Solver, ConflictBudgetReturnsUndecided) {
       }
     }
   }
-  s.set_conflict_budget(10);
+  Deadline deadline(0.02);
+  s.set_deadline(&deadline);
   EXPECT_EQ(s.solve(), SolveResult::Undecided);
-  s.set_conflict_budget(0);
 }
 
 TEST(Solver, StatsAccumulate) {

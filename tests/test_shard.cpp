@@ -1,5 +1,5 @@
 // Sharded-scheduler tests: cluster_properties edge cases, LemmaBus
-// channel semantics, ShardedClauseDb plumbing, adaptive slice sizing, and
+// channel semantics, ShardedClauseDb plumbing, sliced-task resume, and
 // the lemma-exchange soundness contract — exchanged BMC prefix units never
 // flip a verdict: the exchange-on runs must match the exchange-off runs,
 // the explicit-state oracle, and the one-shot engines, and every proof
@@ -371,117 +371,24 @@ TEST(Sharded, RespectsTotalTimeLimit) {
   EXPECT_EQ(r.per_property.size(), ts.num_properties());
 }
 
-// --- adaptive slice sizing --------------------------------------------------
+// --- sliced tasks -----------------------------------------------------------
 
-TEST(AdaptiveSlice, ScaleAdaptsAndStaysBounded) {
+// A conflict-sliced task suspends and resumes its one engine until the
+// proof closes: the only suspend/resume check at the PropertyTask level.
+TEST(SlicedTask, ConflictSlicedTaskConvergesAcrossSlices) {
   aig::Aig aig = gen::make_counter({.bits = 8, .buggy = false});
   ts::TransitionSystem ts(aig);
   sched::EngineOptions engine;
   sched::PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
   sched::TaskBudget budget;
   budget.conflicts = 4;
-  bool scale_moved = false;
   int guard = 0;
   while (task.open()) {
     task.run_slice(budget, nullptr);
-    // Within the fixed bounds [1/4, 4] (property_task.cpp).
-    double scale = task.result().slice_scale;
-    EXPECT_GE(scale, 0.25);
-    EXPECT_LE(scale, 4.0);
-    if (scale != 1.0) scale_moved = true;
     ASSERT_LT(++guard, 100000) << "sliced run failed to converge";
   }
   EXPECT_EQ(task.result().verdict, PropertyVerdict::HoldsGlobally);
   EXPECT_GT(task.result().slices, 1);
-  EXPECT_TRUE(scale_moved) << "adaptive scale never left 1.0";
-}
-
-// Pin the pure slice-sizing decision (mp/sched/property_task.h): grow on
-// frame progress, shrink only on a genuinely stalled slice, no adjustment
-// for slices with no next slice to size.
-TEST(AdaptiveSlice, NextSliceScaleTransitions) {
-  auto slice_result = [](CheckStatus status, bool resumable, int frames,
-                         std::uint64_t clauses, std::uint64_t obligations) {
-    ic3::Ic3Result er;
-    er.status = status;
-    er.resumable = resumable;
-    er.frames = frames;
-    er.stats.clauses_added = clauses;
-    er.stats.obligations = obligations;
-    return er;
-  };
-  const auto suspended = [&](int frames, std::uint64_t clauses,
-                             std::uint64_t obligations) {
-    return slice_result(CheckStatus::Unknown, true, frames, clauses,
-                        obligations);
-  };
-
-  // Frame progress doubles, saturating at 4.
-  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(3, 10, 5), 2,
-                                    10, 5),
-            2.0);
-  EXPECT_EQ(sched::next_slice_scale(4.0, true, suspended(3, 10, 5), 2,
-                                    10, 5),
-            4.0);
-  // Stalled (no clause, no obligation) halves, saturating at 1/4.
-  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(2, 10, 5), 2,
-                                    10, 5),
-            0.5);
-  EXPECT_EQ(sched::next_slice_scale(0.25, true, suspended(2, 10, 5), 2,
-                                    10, 5),
-            0.25);
-  // Suspended mid-generalization (obligations moved, clause counter did
-  // not): progress, not a stall — the scale must hold.
-  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(2, 10, 9), 2,
-                                    10, 5),
-            1.0);
-  // Clause progress without a new frame: steady state, no change.
-  EXPECT_EQ(sched::next_slice_scale(1.0, true, suspended(2, 14, 9), 2,
-                                    10, 5),
-            1.0);
-  // Terminal and non-resumable slices have no next slice to size; their
-  // counters (often mid-flight) must not be classified.
-  EXPECT_EQ(sched::next_slice_scale(1.0, true,
-                                    slice_result(CheckStatus::Holds, false, 3,
-                                                 10, 5),
-                                    2, 10, 5),
-            1.0);
-  EXPECT_EQ(sched::next_slice_scale(1.0, true,
-                                    slice_result(CheckStatus::Unknown, false,
-                                                 2, 10, 5),
-                                    2, 10, 5),
-            1.0);
-  // Unbudgeted slices never adjust.
-  EXPECT_EQ(sched::next_slice_scale(2.0, false, suspended(3, 10, 5), 2,
-                                    10, 5),
-            2.0);
-}
-
-TEST(AdaptiveSlice, ScaleResetsWhenTaskCloses) {
-  // Drive a budgeted task until it closes; whatever the scale did along
-  // the way, a closed task must read 1.0 again so a recycled task cannot
-  // inherit a shrunken (or inflated) slice.
-  aig::Aig aig = gen::make_counter({.bits = 8, .buggy = false});
-  ts::TransitionSystem ts(aig);
-  sched::EngineOptions engine;
-  sched::PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
-  sched::TaskBudget budget;
-  budget.conflicts = 4;
-  bool scale_moved = false;
-  int guard = 0;
-  while (task.open()) {
-    task.run_slice(budget, nullptr);
-    if (task.open() && task.slice_scale() != 1.0) scale_moved = true;
-    ASSERT_LT(++guard, 100000) << "sliced run failed to converge";
-  }
-  EXPECT_TRUE(scale_moved) << "adaptive scale never left 1.0";
-  EXPECT_EQ(task.slice_scale(), 1.0);
-
-  // External closes reset too.
-  sched::PropertyTask unknown_task(ts, 1, {}, engine, false);
-  unknown_task.run_slice(budget, nullptr);
-  unknown_task.close_unknown();
-  EXPECT_EQ(unknown_task.slice_scale(), 1.0);
 }
 
 // The sharded scheduler with exchange Off must leave the bus untouched

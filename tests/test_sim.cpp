@@ -1,5 +1,5 @@
 // Simulation tests: 64-way parallel vs single-pattern consistency,
-// ternary X propagation, initial-state helpers.
+// initial-state helpers.
 #include <gtest/gtest.h>
 
 #include "aig/builder.h"
@@ -67,40 +67,6 @@ TEST(Simulator, MatchesParallelOnRandomDesigns) {
       EXPECT_EQ(n1[i], (n64[i] & 1) != 0);
     }
   }
-}
-
-TEST(TernarySimulator, AgreesWithBooleanWhenDefined) {
-  gen::RandomDesignSpec spec;
-  spec.seed = 5;
-  Aig aig = gen::make_random_design(spec);
-
-  std::vector<bool> state(aig.num_latches(), true);
-  std::vector<bool> inputs(aig.num_inputs(), false);
-  std::vector<Ternary> tstate(aig.num_latches(), Ternary::True);
-  std::vector<Ternary> tinputs(aig.num_inputs(), Ternary::False);
-
-  Simulator bs(aig);
-  bs.eval(state, inputs);
-  TernarySimulator ts(aig);
-  ts.eval(tstate, tinputs);
-  for (Var v = 1; v < aig.num_nodes(); ++v) {
-    Lit l = Lit::make(v);
-    ASSERT_NE(ts.value(l), Ternary::X);
-    EXPECT_EQ(ts.value(l) == Ternary::True, bs.value(l));
-  }
-}
-
-TEST(TernarySimulator, XPropagationIsSoundAndShortCircuits) {
-  Aig aig;
-  Lit a = aig.add_input();
-  Lit b = aig.add_input();
-  Lit g = aig.add_and(a, b);
-  TernarySimulator ts(aig);
-  ts.eval({}, {Ternary::X, Ternary::False});
-  EXPECT_EQ(ts.value(g), Ternary::False);  // X & 0 = 0
-  ts.eval({}, {Ternary::X, Ternary::True});
-  EXPECT_EQ(ts.value(g), Ternary::X);  // X & 1 = X
-  EXPECT_EQ(ts.value(~g), Ternary::X);
 }
 
 TEST(InitialState, ResetsRespected) {

@@ -18,6 +18,7 @@
 #include "mp/sched/worker_pool.h"
 #include "mp/shard/sharded_scheduler.h"
 #include "mp/simfilter/sim_filter.h"
+#include "obs/metrics.h"
 #include "ref/explicit_checker.h"
 #include "ts/trace.h"
 #include "ts/transition_system.h"
@@ -350,6 +351,27 @@ TEST(SimFilterE2E, ShardedRunWithSignaturesMatchesOracle) {
   expect_matches_oracle(ts, r, oracle, "sharded-full");
   EXPECT_GT(r.sim_stats.patterns, 0u);
   EXPECT_GT(r.sim_stats.signature_groups, 0u);
+}
+
+// A sweep that starts exhausted (no BMC depth budget) still runs the
+// near-miss seeds routed to it: BmcSweep::sweep consumes pending seeds
+// before its own exhausted check, so the scheduler must call it anyway.
+TEST(SimFilterE2E, ExhaustedSweepStillRunsItsSeeds) {
+  aig::Aig aig = small_design(12, 4, /*weaken_percent=*/80);
+  ts::TransitionSystem ts(aig);
+  ref::ExplicitResult oracle = ref::explicit_check(ts);
+
+  obs::MetricsRegistry metrics;
+  shard::ShardedOptions so;
+  so.base.proof_mode = sched::ProofMode::Local;
+  so.base.dispatch = sched::DispatchPolicy::HybridBmcIc3;
+  so.base.bmc_max_depth = 0;
+  so.base.engine.sim_filter = filter_opts(SimFilterMode::Full);
+  so.base.engine.metrics = &metrics;
+  MultiResult r = shard::ShardedScheduler(ts, so).run();
+  expect_matches_oracle(ts, r, oracle, "exhausted-sweep");
+  EXPECT_GT(metrics.counter("sim.seeds"), 0u);
+  EXPECT_EQ(metrics.counter("sim.seed_queries"), metrics.counter("sim.seeds"));
 }
 
 TEST(SimFilterE2E, ConstrainedDesignHoldsInEveryMode) {
