@@ -5,7 +5,8 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "mp/separate_verifier.h"
+#include "mp/ja_verifier.h"
+#include "mp/sched/scheduler.h"
 #include "ts/transition_system.h"
 
 using namespace javer;
@@ -31,20 +32,19 @@ int main() {
     aig::Aig design = gen::make_synthetic(d.spec);
     ts::TransitionSystem ts(design);
 
-    mp::SeparateOptions global_opts;
-    global_opts.local_proofs = false;
-    global_opts.clause_reuse = true;
-    global_opts.time_limit_per_property = prop_limit;
+    mp::sched::SchedulerOptions global_opts;
+    global_opts.proof_mode = mp::sched::ProofMode::Global;
+    global_opts.engine.clause_reuse = true;
+    global_opts.engine.time_limit_per_property = prop_limit;
     bench::Summary glob =
-        bench::summarize(mp::SeparateVerifier(ts, global_opts).run());
+        bench::summarize(mp::sched::Scheduler(ts, global_opts).run());
     bench::record_row(d.name, "separate-global", glob);
 
-    mp::SeparateOptions local_opts;
-    local_opts.local_proofs = true;
+    // Separate verification with local proofs is the JA run.
+    mp::JaOptions local_opts;
     local_opts.clause_reuse = true;
     local_opts.time_limit_per_property = prop_limit;
-    bench::Summary loc =
-        bench::summarize(mp::SeparateVerifier(ts, local_opts).run());
+    bench::Summary loc = bench::summarize(mp::JaVerifier(ts, local_opts).run());
     bench::record_row(d.name, "separate-local", loc);
 
     std::printf("%9s %6zu | %10zu %10s | %10zu %10s\n", d.name.c_str(),

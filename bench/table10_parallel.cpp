@@ -11,8 +11,7 @@
 #include "base/timer.h"
 #include "bench_util.h"
 #include "gen/synthetic.h"
-#include "mp/parallel_ja.h"
-#include "mp/separate_verifier.h"
+#include "mp/sched/scheduler.h"
 #include "ts/transition_system.h"
 
 using namespace javer;
@@ -39,25 +38,24 @@ int main() {
               "loc #frames", "time");
   std::printf("-------+------------------------+-----------------------\n");
 
-  mp::SeparateOptions global_opts;
-  global_opts.local_proofs = false;
-  global_opts.clause_reuse = false;
-  global_opts.time_limit_per_property = bench::budget(10.0);
-  mp::SeparateVerifier global_verifier(ts, global_opts);
-
-  mp::SeparateOptions local_opts;
-  local_opts.local_proofs = true;
-  local_opts.clause_reuse = false;  // "no exchange of strengthening clauses"
-  local_opts.time_limit_per_property = bench::budget(10.0);
-  mp::SeparateVerifier local_verifier(ts, local_opts);
+  // One property alone under `mode` proofs, with no exchange of
+  // strengthening clauses.
+  auto verify_single = [&](mp::sched::ProofMode mode, std::size_t p) {
+    mp::sched::SchedulerOptions so;
+    so.proof_mode = mode;
+    so.engine.clause_reuse = false;
+    so.engine.time_limit_per_property = bench::budget(10.0);
+    so.engine.order = {p};
+    return mp::sched::Scheduler(ts, so).run().per_property[p];
+  };
 
   int max_global_frames = 0, max_local_frames = 0;
   double max_global_time = 0, max_local_time = 0;
   bool all_local_one_frame = true;
 
   for (std::size_t p : samples) {
-    mp::PropertyResult g = global_verifier.verify_one(p);
-    mp::PropertyResult l = local_verifier.verify_one(p);
+    mp::PropertyResult g = verify_single(mp::sched::ProofMode::Global, p);
+    mp::PropertyResult l = verify_single(mp::sched::ProofMode::Local, p);
     std::printf("%6zu | %14d %9s | %14d %9s\n", p, g.frames,
                 bench::fmt_time(g.seconds).c_str(), l.frames,
                 bench::fmt_time(l.seconds).c_str());
@@ -77,11 +75,11 @@ int main() {
               ts.num_properties());
   double seq_time = 0;
   for (unsigned n : {1u, threads}) {
-    mp::ParallelJaOptions opts;
+    mp::sched::SchedulerOptions opts;
     opts.num_threads = n;
-    opts.clause_reuse = false;
+    opts.engine.clause_reuse = false;
     Timer t;
-    mp::MultiResult result = mp::ParallelJaVerifier(ts, opts).run();
+    mp::MultiResult result = mp::sched::Scheduler(ts, opts).run();
     double elapsed = t.seconds();
     if (n == 1) seq_time = elapsed;
     bench::Summary s = bench::summarize(result);

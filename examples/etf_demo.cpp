@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "aig/builder.h"
-#include "mp/separate_verifier.h"
+#include "mp/ja_verifier.h"
 #include "mp/report.h"
 #include "ts/trace.h"
 
@@ -31,8 +31,7 @@ int main() {
                       /*expected_to_fail=*/false);
   ts::TransitionSystem ts(design);
 
-  mp::SeparateVerifier verifier(ts, mp::SeparateOptions{});
-  mp::MultiResult result = verifier.run();
+  mp::MultiResult result = mp::JaVerifier(ts).run();
   mp::print_report(std::cout, ts, result);
 
   const auto& cover = result.per_property[0];

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -30,14 +31,11 @@
 #include "obs/trace.h"
 #include "ic3/certify.h"
 #include "persist/persist.h"
-#include "mp/ja_verifier.h"
 #include "mp/joint_verifier.h"
 #include "mp/ordering.h"
-#include "mp/parallel_ja.h"
 #include "mp/exchange/lemma_bus.h"
 #include "mp/report.h"
 #include "mp/sched/scheduler.h"
-#include "mp/separate_verifier.h"
 #include "mp/shard/sharded_scheduler.h"
 #include "mp/simfilter/options.h"
 #include "ts/witness.h"
@@ -80,6 +78,7 @@ struct CliOptions {
   bool progress = false;
   bool progress_verbose = false;
   double progress_interval = 5.0;
+  bool watchdog = false;  // --watchdog-sec given
   double watchdog_sec = 30.0;
   std::vector<std::size_t> etf;
 };
@@ -185,7 +184,8 @@ void usage(std::FILE* out) {
 "\n"
 "input/output:\n"
 "  --clause-db FILE     load/save the clause database (the paper's\n"
-"                       external clauseDB)\n"
+"                       external clauseDB); a missing FILE starts empty,\n"
+"                       a malformed one exits 3 and is left untouched\n"
 "  --cache-dir DIR      warm-start cache (src/persist): persist the\n"
 "                       design's CNF templates and per-shard clause-db\n"
 "                       snapshots, keyed by design fingerprint, so a\n"
@@ -214,7 +214,8 @@ void usage(std::FILE* out) {
 "  --watchdog-sec S     stall threshold: a running task with no activity\n"
 "                       for S seconds emits a watchdog/stall trace\n"
 "                       instant + obs.stalls metric   (default: 30); the\n"
-"                       watchdog only observes, it never suspends a task\n"
+"                       watchdog only observes, it never suspends a task;\n"
+"                       without --progress it samples every S/2 seconds\n"
 "  --log-level L        silent | info | verbose | debug (or 0..3): engine\n"
 "                       logging on stderr           (default: silent)\n"
 "  --witness            print AIGER witnesses for failed properties on\n"
@@ -445,6 +446,7 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
                      "got '%s'\n", v);
         return false;
       }
+      opts.watchdog = true;
     } else if (arg == "--log-level") {
       const char* v = next("--log-level");
       if (v == nullptr) return false;
@@ -623,14 +625,19 @@ int main(int argc, char** argv) {
 
   mp::ClauseDb db;
   if (!cli.clause_db_path.empty()) {
+    // A missing file starts empty and is written on exit; one that does
+    // not load for this design is an input error and is left untouched.
     try {
-      db.load_file(cli.clause_db_path);
-      if (!cli.quiet) {
-        std::printf("loaded %zu clauses from %s\n", db.size(),
-                    cli.clause_db_path.c_str());
+      if (std::filesystem::exists(cli.clause_db_path)) {
+        db.load_file(cli.clause_db_path, ts.num_latches());
+        if (!cli.quiet) {
+          std::printf("loaded %zu clauses from %s\n", db.size(),
+                      cli.clause_db_path.c_str());
+        }
       }
-    } catch (const std::exception&) {
-      // Missing file is fine: start empty, save on exit.
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "javer_cli: %s\n", e.what());
+      return 3;
     }
   }
 
@@ -641,7 +648,7 @@ int main(int argc, char** argv) {
   obs::Tracer* tracer_ptr = cli.trace_out.empty() ? nullptr : &tracer;
   // The watchdog wants the stall counter even without --metrics-out, and
   // the "fault:" summary line wants the fault.*/retry.* counters.
-  const bool monitor_on = cli.progress;
+  const bool monitor_on = cli.progress || cli.watchdog;
   const bool fault_on = !cli.fault_inject.empty();
   obs::MetricsRegistry* metrics_ptr =
       (cli.metrics_out.empty() && !monitor_on && !fault_on) ? nullptr
@@ -655,7 +662,10 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::ProgressMonitor> monitor;
   if (monitor_on) {
     obs::MonitorOptions mon_opts;
-    mon_opts.interval_seconds = cli.progress_interval;
+    // Without --progress the monitor runs only for the watchdog: sample
+    // often enough to see a stall of the given length.
+    mon_opts.interval_seconds =
+        cli.progress ? cli.progress_interval : cli.watchdog_sec / 2;
     mon_opts.verbose = cli.progress_verbose;
     mon_opts.stall_seconds = cli.watchdog_sec;
     // Progress lines go to stderr: stdout carries the report (or, with
@@ -691,34 +701,31 @@ int main(int argc, char** argv) {
   engine.metrics = metrics_ptr;
   engine.progress = board_ptr;
   engine.profiler = profiler_ptr;
-  // --engine hybrid and sharded: local proofs, hybrid BMC+IC3 dispatch.
-  mp::sched::SchedulerOptions hybrid;
-  hybrid.engine = engine;
-  hybrid.proof_mode = mp::sched::ProofMode::Local;
-  hybrid.dispatch = mp::sched::DispatchPolicy::HybridBmcIc3;
-  hybrid.num_threads = cli.threads;
-  hybrid.bmc_max_depth = cli.bmc_depth;
+  // Every engine but joint is one scheduler run; the name only picks its
+  // proof mode, dispatch policy and thread count.
+  const bool global =
+      cli.engine == "separate" || cli.engine == "separate-global";
+  const bool hybrid = cli.engine == "hybrid" || cli.engine == "sharded";
+  const bool threaded = hybrid || cli.engine == "parallel";
+  mp::sched::SchedulerOptions so;
+  so.engine = engine;
+  so.proof_mode =
+      global ? mp::sched::ProofMode::Global : mp::sched::ProofMode::Local;
+  so.dispatch = hybrid ? mp::sched::DispatchPolicy::HybridBmcIc3
+                       : mp::sched::DispatchPolicy::RunToCompletion;
+  so.num_threads = threaded ? cli.threads : 1;
+  so.bmc_max_depth = cli.bmc_depth;
 
   Timer timer;
   if (monitor) monitor->start();
   mp::MultiResult result;
-  if (cli.engine == "ja") {
-    result = mp::JaVerifier(ts, mp::JaOptions{engine}).run(db);
-  } else if (cli.engine == "separate" || cli.engine == "separate-global") {
-    mp::SeparateOptions opts{engine, /*local_proofs=*/false};
-    result = mp::SeparateVerifier(ts, opts).run(db);
-  } else if (cli.engine == "joint") {
-    mp::JointOptions opts{engine};
+  if (cli.engine == "joint") {
+    mp::JointOptions opts = engine;
     opts.total_time_limit = cli.time_limit;  // bounds the whole run
     result = mp::JointVerifier(ts, opts).run();
-  } else if (cli.engine == "parallel") {
-    mp::ParallelJaOptions opts{engine, cli.threads};
-    result = mp::ParallelJaVerifier(ts, opts).run(db);
-  } else if (cli.engine == "hybrid") {
-    result = mp::sched::Scheduler(ts, hybrid).run(db);
   } else if (cli.engine == "sharded") {
     mp::shard::ShardedOptions opts;
-    opts.base = hybrid;
+    opts.base = so;
     opts.clustering.min_similarity = cli.cluster_threshold;
     opts.clustering.max_cluster_size = cli.max_cluster_size;
     opts.exchange = cli.lemma_exchange;
@@ -738,6 +745,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(xs.imported),
           static_cast<unsigned long long>(xs.rejected), xs.hit_rate());
     }
+  } else if (global || threaded || cli.engine == "ja") {
+    result = mp::sched::Scheduler(ts, so).run(db);
   } else {
     std::fprintf(stderr, "javer_cli: unknown engine '%s'\n",
                  cli.engine.c_str());

@@ -10,8 +10,8 @@
 
 #include "base/timer.h"
 #include "gen/synthetic.h"
-#include "mp/parallel_ja.h"
 #include "mp/report.h"
+#include "mp/sched/scheduler.h"
 
 int main(int argc, char** argv) {
   using namespace javer;
@@ -28,10 +28,8 @@ int main(int argc, char** argv) {
   double sequential_seconds = 0.0;
   {
     Timer t;
-    mp::ParallelJaOptions opts;
-    opts.num_threads = 1;
-    mp::ParallelJaVerifier verifier(ts, opts);
-    mp::MultiResult result = verifier.run();
+    mp::sched::SchedulerOptions opts;  // JA-verification, one thread
+    mp::MultiResult result = mp::sched::Scheduler(ts, opts).run();
     sequential_seconds = t.seconds();
     std::printf("1 thread : %s  (%zu proved, %zu unsolved)\n",
                 mp::format_duration(sequential_seconds).c_str(),
@@ -39,10 +37,9 @@ int main(int argc, char** argv) {
   }
   {
     Timer t;
-    mp::ParallelJaOptions opts;
+    mp::sched::SchedulerOptions opts;
     opts.num_threads = threads;
-    mp::ParallelJaVerifier verifier(ts, opts);
-    mp::MultiResult result = verifier.run();
+    mp::MultiResult result = mp::sched::Scheduler(ts, opts).run();
     double parallel_seconds = t.seconds();
     std::printf("%u threads: %s  (%zu proved, %zu unsolved)\n", threads,
                 mp::format_duration(parallel_seconds).c_str(),

@@ -37,6 +37,13 @@ Header read_header(std::istream& in) {
     fail("bad magic '" + magic + "'");
   }
   if (!(ss >> h.m >> h.i >> h.l >> h.o >> h.a)) fail("truncated header");
+  // Check the counts before anything is sized by them: M fits Lit's
+  // 31-bit variables, and I + L + A fits in M (equals it, in binary).
+  if (h.m > (std::uint64_t{1} << 31) - 1) fail("M out of range");
+  if (h.i > h.m || h.l > h.m - h.i || h.a > h.m - h.i - h.l ||
+      (h.binary && h.i + h.l + h.a != h.m)) {
+    fail("header counts do not match M");
+  }
   // Optional B C (J F unsupported).
   if (ss >> h.b) {
     if (ss >> h.c) {
@@ -198,8 +205,12 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
   // Iterative DFS so deep chains do not overflow the stack. Roots are
   // visited in file order (not def_of iteration order): node creation
   // happens inside this loop, so walking the unordered_map here would
-  // make AIG variable numbering depend on hash iteration order.
+  // make AIG variable numbering depend on hash iteration order. A gate is
+  // `expanded` once it has pushed its unresolved fanins; every stack entry
+  // above it is then in its fanin cone, so meeting it again, unresolved,
+  // as a fanin closes a cycle.
   std::vector<std::uint64_t> stack;
+  std::vector<bool> expanded(h.m + 1, false);
   for (const PendingAnd& root_line : and_lines) {
     std::uint64_t root = root_line.lhs >> 1;
     if (resolved[root]) continue;
@@ -217,17 +228,16 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
       std::uint64_t v1 = pa.rhs1 >> 1;
       if (v0 > h.m || v1 > h.m) fail("and fanin out of range");
       bool ready = true;
-      if (!resolved[v0]) {
-        if (v0 == v || (stack.size() > 1024 * 1024)) fail("cyclic and chain");
-        stack.push_back(v0);
+      for (std::uint64_t fanin : {v0, v1}) {
+        if (resolved[fanin]) continue;
+        if (expanded[fanin]) fail("cyclic and chain");
+        stack.push_back(fanin);
         ready = false;
       }
-      if (!resolved[v1]) {
-        if (v1 == v) fail("cyclic and chain");
-        stack.push_back(v1);
-        ready = false;
+      if (!ready) {
+        expanded[v] = true;
+        continue;
       }
-      if (!ready) continue;
       var_map[v] = aig.add_and(lookup(pa.rhs0), lookup(pa.rhs1));
       resolved[v] = true;
       stack.pop_back();

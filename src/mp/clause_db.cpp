@@ -1,5 +1,6 @@
 #include "mp/clause_db.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -91,7 +92,8 @@ std::size_t ShardedClauseDb::total_size() const {
   return total;
 }
 
-std::size_t ClauseDb::load_file(const std::string& path) {
+std::size_t ClauseDb::load_file(const std::string& path,
+                                std::size_t num_latches) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("clausedb: cannot open " + path);
   std::string line;
@@ -102,11 +104,24 @@ std::size_t ClauseDb::load_file(const std::string& path) {
     std::string token;
     ts::Cube cube;
     while (ss >> token) {
-      if (token.size() < 2 || (token[0] != '+' && token[0] != '-')) {
+      // A sign, then decimal digits that fit an int, and nothing else.
+      int latch = -1;
+      const char* end = token.data() + token.size();
+      if (token.size() >= 2 && (token[0] == '+' || token[0] == '-') &&
+          token[1] >= '0' && token[1] <= '9') {
+        auto [ptr, ec] = std::from_chars(token.data() + 1, end, latch);
+        if (ec != std::errc() || ptr != end) latch = -1;
+      }
+      if (latch < 0) {
         throw std::runtime_error("clausedb: bad token '" + token + "'");
       }
-      cube.push_back(
-          ts::StateLit{std::stoi(token.substr(1)), token[0] == '+'});
+      if (static_cast<std::size_t>(latch) >= num_latches) {
+        throw std::runtime_error(
+            "clausedb: latch " + std::to_string(latch) +
+            " out of range (design has " + std::to_string(num_latches) +
+            " latches)");
+      }
+      cube.push_back(ts::StateLit{latch, token[0] == '+'});
     }
     if (!cube.empty()) batch.push_back(std::move(cube));
   }

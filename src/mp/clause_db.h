@@ -3,11 +3,13 @@
 // their inductive strengthenings; later runs seed IC3 with the accumulated
 // set (which re-validates them against its own assumption set).
 //
-// Thread-safe, so the parallel verifier (Section 11) can share one
-// database. Clauses are stored as cubes: the clause is the negation.
+// Thread-safe, so the tasks of a multi-threaded scheduler run (parallel
+// JA, Section 11) can share one database. Clauses are stored as cubes:
+// the clause is the negation.
 #ifndef JAVER_MP_CLAUSE_DB_H
 #define JAVER_MP_CLAUSE_DB_H
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -39,7 +41,11 @@ class ClauseDb {
   void save(const std::string& path) const;
   static ClauseDb load(const std::string& path);
   // Appends the file's cubes to this database; returns how many were new.
-  std::size_t load_file(const std::string& path);
+  // Throws std::runtime_error, adding nothing, if the file cannot be
+  // opened, a token is not a sign and a decimal int, or a latch index is
+  // not below `num_latches` (pass the design's count for untrusted files).
+  std::size_t load_file(const std::string& path,
+                        std::size_t num_latches = SIZE_MAX);
 
  private:
   mutable base::Mutex mutex_;

@@ -1,7 +1,8 @@
 // JA-verification ("Just-Assume", Section 4): the paper's headline
 // algorithm. A preset over the property scheduler: each property is
 // proved locally (all other ETH properties assumed) with
-// strengthening-clause re-use. The outcome is either a proof that every
+// strengthening-clause re-use, one at a time (separate verification with
+// local proofs is the same run). The outcome is either a proof that every
 // property holds globally (Proposition 5) or a debugging set of
 // properties that are the first to break (Proposition 6).
 #ifndef JAVER_MP_JA_VERIFIER_H
@@ -17,7 +18,7 @@ namespace javer::mp {
 // All knobs are the shared engine ones; lifting ignores property
 // constraints by default (§7-A found this usually faster) and spurious
 // CEXs trigger an automatic strict retry.
-struct JaOptions : sched::EngineOptions {};
+using JaOptions = sched::EngineOptions;
 
 class JaVerifier {
  public:

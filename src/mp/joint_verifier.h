@@ -19,10 +19,10 @@
 
 namespace javer::mp {
 
-// The shared engine knobs live in the sched::EngineOptions base (the
-// paper's joint runs used a 10-hour total_time_limit; clause re-use,
-// per-property limits and order do not apply to the aggregate run).
-struct JointOptions : sched::EngineOptions {};
+// The shared engine knobs (the paper's joint runs used a 10-hour
+// total_time_limit; clause re-use, per-property limits and order do not
+// apply to the aggregate run).
+using JointOptions = sched::EngineOptions;
 
 class JointVerifier {
  public:

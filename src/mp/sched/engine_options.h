@@ -1,11 +1,9 @@
 // EngineOptions: the engine configuration every verification mode shares.
-// Before the scheduler refactor these fields were copy-pasted across
-// SeparateOptions / JaOptions / JointOptions / ParallelJaOptions; the
-// legacy option structs now inherit this one, so existing field accesses
-// keep compiling while the scheduler consumes one uniform type. What is
-// not a knob: the IC3 SAT-context layout (one template-replayed frame
-// solver plus a lift companion, ic3/frames.h), and the adaptive slice
-// sizing and the retry ladder's length (constants in property_task.cpp).
+// The per-property modes take it inside sched::SchedulerOptions, and the
+// two named modes take it directly (mp::JaOptions and mp::JointOptions
+// are aliases of it). What is not a knob: the IC3 SAT-context layout (one
+// template-replayed frame solver plus a lift companion, ic3/frames.h),
+// and the retry ladder's length (a constant in property_task.cpp).
 #ifndef JAVER_MP_SCHED_ENGINE_OPTIONS_H
 #define JAVER_MP_SCHED_ENGINE_OPTIONS_H
 

@@ -189,7 +189,7 @@ void PropertyTask::close_unknown() {
   publish_state();
 }
 
-void PropertyTask::run_slice(const TaskBudget& budget, ClauseDb* db) {
+void PropertyTask::run_slice(const ic3::Ic3Budget& budget, ClauseDb* db) {
   if (!open()) return;
   // Tag the thread with this property so deep fault sites (a SAT
   // allocation five frames down, a persist write) match prop= filters.
@@ -257,7 +257,7 @@ void PropertyTask::reset_engine() {
   bus_cursor_ = {};
 }
 
-void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
+void PropertyTask::run_slice_impl(const ic3::Ic3Budget& budget, ClauseDb* db) {
   double per_prop = engine_opts_.time_limit_per_property;
   double remaining = per_prop > 0 ? per_prop - engine_seconds_ : 0.0;
   if (per_prop > 0 && remaining <= 0) {
@@ -294,9 +294,7 @@ void PropertyTask::run_slice_impl(const TaskBudget& budget, ClauseDb* db) {
     if (!lemmas.empty()) engine_->add_lemma_candidates(std::move(lemmas));
   }
 
-  ic3::Ic3Budget slice;
-  slice.time_slice_seconds = budget.seconds;
-  slice.conflict_slice = budget.conflicts;
+  ic3::Ic3Budget slice = budget;
   if (per_prop > 0 &&
       (slice.time_slice_seconds <= 0 || remaining < slice.time_slice_seconds)) {
     slice.time_slice_seconds = remaining;

@@ -55,13 +55,6 @@ const char* to_string(TaskState s);
 std::vector<std::size_t> local_assumptions(const ts::TransitionSystem& ts,
                                            std::size_t prop);
 
-// One slice of engine work. Zero fields = unlimited (the task still stops
-// at its per-property time budget).
-struct TaskBudget {
-  double seconds = 0.0;
-  std::uint64_t conflicts = 0;
-};
-
 // --- degrade-and-retry ladder (resilience) --------------------------------
 //
 // A task whose slice throws (engine exception, std::bad_alloc, injected
@@ -114,9 +107,10 @@ class PropertyTask {
   // before the first slice so the engine's own events inherit it.
   void set_shard_tag(int shard);
 
-  // Runs one engine slice (respecting the per-property time budget). When
-  // `db` is non-null and clause re-use is on, the engine is seeded from it
-  // and completed proofs publish their strengthenings back.
+  // Runs one engine slice bounded by `budget` (zero fields = unlimited)
+  // and by what is left of the per-property time budget. When `db` is
+  // non-null and clause re-use is on, the engine is seeded from it and
+  // completed proofs publish their strengthenings back.
   //
   // Isolation boundary: any exception escaping the slice (engine failure,
   // bad_alloc, injected fault) is caught here, recorded in the result's
@@ -125,7 +119,7 @@ class PropertyTask {
   // verdict reached after a retry is re-validated through the witness /
   // certify oracles before it is accepted (an oracle failure counts as
   // another task failure), so faults can never flip a verdict.
-  void run_slice(const TaskBudget& budget, ClauseDb* db);
+  void run_slice(const ic3::Ic3Budget& budget, ClauseDb* db);
 
   // Closes the task with a failure verdict from an externally found
   // counterexample (a BMC sweep); `frames` is the trace depth.
@@ -139,7 +133,7 @@ class PropertyTask {
 
  private:
   // The real slice body; run_slice wraps it in the isolation boundary.
-  void run_slice_impl(const TaskBudget& budget, ClauseDb* db);
+  void run_slice_impl(const ic3::Ic3Budget& budget, ClauseDb* db);
   // Handles one caught slice failure: records it, discards the engine,
   // and either climbs the retry ladder or closes the task Unknown.
   void fail_slice(const std::string& reason);

@@ -1,7 +1,10 @@
-// Scheduler: the policy front end of the per-property verification modes;
-// SeparateVerifier, JaVerifier and ParallelJaVerifier are thin presets
-// over it. (JointVerifier, the paper's Jnt-ver baseline, runs its own
-// aggregate loop: it has no per-property tasks to schedule.)
+// Scheduler: the one front end of the per-property verification modes,
+// which differ only in these options: JA-verification (mp::JaVerifier;
+// separate verification with local proofs is the same run) is the
+// default, separate verification with global proofs sets proof_mode
+// Global, and parallel JA sets num_threads. A run with engine.order = {p}
+// verifies property p alone. (JointVerifier, the paper's Jnt-ver
+// baseline, runs its own aggregate loop: it has no per-property tasks.)
 //
 // There is one task loop, shard::ShardedScheduler, and Scheduler is its
 // one-partition entry: both policies hand it every property in

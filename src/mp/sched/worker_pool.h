@@ -1,9 +1,8 @@
 // WorkerPool: the scheduler's generic work-stealing driver. N workers
-// (the calling thread included) pull item indices from a shared cursor —
-// the generalization of the ad-hoc thread pool ParallelJaVerifier used to
-// own, now reusable by any dispatch policy: run-to-completion tasks,
-// per-round hybrid IC3 slices, or anything else shaped "run fn(i) for
-// i in [0, n)".
+// (the calling thread included) pull item indices from a shared cursor,
+// for any dispatch policy: run-to-completion tasks (the paper's parallel
+// JA, Section 11), per-round hybrid IC3 slices, or anything else shaped
+// "run fn(i) for i in [0, n)".
 //
 // Threads are spawned once and parked between run() calls, so per-round
 // dispatch (the hybrid policy calls run() every round) costs no respawn.

@@ -265,10 +265,10 @@ MultiResult ShardedScheduler::run_tasks(
     pool.run(items.size(), [&](std::size_t i) {
       if (out_of_time()) return;  // closed as Unknown below
       auto [s, t] = items[i];
-      while (t->open()) t->run_slice(sched::TaskBudget{}, s->db);
+      while (t->open()) t->run_slice(ic3::Ic3Budget{}, s->db);
     });
   } else {  // HybridBmcIc3 rounds, two pool passes per round
-    const sched::TaskBudget slice{opts_.base.ic3_slice_seconds};
+    const ic3::Ic3Budget slice{opts_.base.ic3_slice_seconds};
     int round = 0;
     while (!out_of_time()) {
       const std::uint64_t round_begin = sink.begin();

@@ -46,6 +46,25 @@ TEST(AigerRead, AndGateAscii) {
   EXPECT_TRUE(sim.value(aig.properties()[0].lit));
 }
 
+TEST(AigerRead, AsciiGatesMayReferToLaterLines) {
+  // bad = and(g, a) with g = and(a, b) defined on the next line; the
+  // reader resolves the forward reference (and finds no cycle).
+  std::istringstream in(
+      "aag 4 2 0 1 2\n"
+      "2\n"
+      "4\n"
+      "8\n"
+      "8 6 2\n"
+      "6 2 4\n");
+  Aig aig = read_aiger(in);
+  EXPECT_EQ(aig.num_ands(), 2u);
+  Simulator sim(aig);
+  sim.eval({}, {true, true});
+  EXPECT_FALSE(sim.value(aig.properties()[0].lit));
+  sim.eval({}, {true, false});
+  EXPECT_TRUE(sim.value(aig.properties()[0].lit));
+}
+
 TEST(AigerRead, OutputsKeptWhenFallbackDisabled) {
   std::istringstream in(
       "aag 1 1 0 1 0\n"
@@ -111,6 +130,21 @@ TEST(AigerRead, MalformedInputsThrow) {
   {
     // And gate with out-of-range fanin.
     std::istringstream in("aag 1 0 0 0 1\n2 4 6\n");
+    EXPECT_THROW(read_aiger(in), std::runtime_error);
+  }
+  {
+    // M past Lit's variable range (M + 1 wraps to 0 in 64 bits).
+    std::istringstream in("aag 18446744073709551615 0 0 0 0\n");
+    EXPECT_THROW(read_aiger(in), std::runtime_error);
+  }
+  {
+    // Two-gate cycle through the second fanin.
+    std::istringstream in("aag 3 0 0 0 2 1 0\n0\n4 0 6\n6 0 4\n");
+    EXPECT_THROW(read_aiger(in), std::runtime_error);
+  }
+  {
+    // Binary header whose implicit inputs exceed M.
+    std::istringstream in("aig 3 100000000000 0 0 0\n");
     EXPECT_THROW(read_aiger(in), std::runtime_error);
   }
 }

@@ -50,12 +50,27 @@ TEST(ClauseDb, SaveAndLoadRoundTrip) {
 
 TEST(ClauseDb, LoadRejectsGarbage) {
   std::string path = testing::TempDir() + "/clausedb_bad.txt";
+  for (const char* text :
+       {"x3 +4\n", "+abc\n", "+-3\n", "+3x\n", "+99999999999\n"}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(text, f);
+    std::fclose(f);
+    EXPECT_THROW(ClauseDb::load(path), std::runtime_error) << text;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ClauseDb, LoadRejectsLatchOutOfRange) {
+  std::string path = testing::TempDir() + "/clausedb_range.txt";
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    std::fputs("x3 +4\n", f);
+    std::fputs("+0 -3\n", f);
     std::fclose(f);
   }
-  EXPECT_THROW(ClauseDb::load(path), std::runtime_error);
+  ClauseDb db;
+  EXPECT_THROW(db.load_file(path, 3), std::runtime_error);
+  EXPECT_EQ(db.size(), 0u) << "a rejected file adds nothing";
+  EXPECT_EQ(db.load_file(path, 4), 1u);
   std::remove(path.c_str());
 }
 

@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "aig/builder.h"
-#include "mp/separate_verifier.h"
+#include "mp/ja_verifier.h"
 #include "ref/explicit_checker.h"
 #include "ts/trace.h"
 
@@ -32,10 +32,7 @@ struct EtfFixture {
 
 TEST(Etf, EtfFailureDoesNotMaskEthProperty) {
   EtfFixture fx;
-  SeparateOptions opts;
-  opts.local_proofs = true;
-  SeparateVerifier verifier(*fx.ts, opts);
-  MultiResult result = verifier.run();
+  MultiResult result = JaVerifier(*fx.ts).run();
 
   // The ETF property gets its counterexample.
   EXPECT_EQ(result.per_property[0].verdict, PropertyVerdict::FailsLocally);
@@ -51,9 +48,7 @@ TEST(Etf, EtfFailureDoesNotMaskEthProperty) {
 
 TEST(Etf, EthCexMustNotBreakEthPropertiesButMayBreakEtf) {
   EtfFixture fx;
-  SeparateOptions opts;
-  SeparateVerifier verifier(*fx.ts, opts);
-  MultiResult result = verifier.run();
+  MultiResult result = JaVerifier(*fx.ts).run();
   // P1's CEX passes through cnt==2 (the ETF failure point) — allowed.
   ts::TraceAnalysis a = ts::analyze_trace(*fx.ts, result.per_property[1].cex);
   EXPECT_EQ(a.first_failure[0], 2)
@@ -71,8 +66,7 @@ TEST(Etf, WithoutEtfMarkTheSamePropertyIsMasked) {
   aig.add_property(~b.eq_const(cnt, 4), "p1");
   ts::TransitionSystem ts(aig);
 
-  SeparateVerifier verifier(ts, SeparateOptions{});
-  MultiResult result = verifier.run();
+  MultiResult result = JaVerifier(ts).run();
   EXPECT_EQ(result.per_property[0].verdict, PropertyVerdict::FailsLocally);
   EXPECT_EQ(result.per_property[1].verdict, PropertyVerdict::HoldsLocally)
       << "without the ETF mark, p0 masks p1";
@@ -97,8 +91,7 @@ TEST(Etf, EtfPropertyCanStillHoldLocally) {
   aig.add_property(~b.eq_const(cnt, 2), "eth_2", /*etf=*/false);
   aig.add_property(~b.eq_const(cnt, 4), "etf_4", /*etf=*/true);
   ts::TransitionSystem ts(aig);
-  SeparateVerifier verifier(ts, SeparateOptions{});
-  MultiResult result = verifier.run();
+  MultiResult result = JaVerifier(ts).run();
   EXPECT_EQ(result.per_property[0].verdict, PropertyVerdict::FailsLocally);
   EXPECT_EQ(result.per_property[1].verdict, PropertyVerdict::HoldsLocally)
       << "every path to cnt==4 passes cnt==2, which ETH forbids";

@@ -8,7 +8,7 @@
 #include "gen/synthetic.h"
 #include "ic3/ic3.h"
 #include "mp/clause_db.h"
-#include "mp/separate_verifier.h"
+#include "mp/sched/scheduler.h"
 #include "ts/trace.h"
 
 namespace javer {
@@ -125,11 +125,10 @@ TEST(LocalProofs, ClauseReuseShrinksLaterProofs) {
   // comparison), with and without re-use.
   std::uint64_t queries_with = 0, queries_without = 0;
   for (bool reuse : {false, true}) {
-    mp::SeparateOptions opts;
-    opts.local_proofs = false;
-    opts.clause_reuse = reuse;
-    mp::SeparateVerifier verifier(ts, opts);
-    mp::MultiResult result = verifier.run();
+    mp::sched::SchedulerOptions so;
+    so.proof_mode = mp::sched::ProofMode::Global;
+    so.engine.clause_reuse = reuse;
+    mp::MultiResult result = mp::sched::Scheduler(ts, so).run();
     std::uint64_t total_queries = 0;
     for (const auto& pr : result.per_property) {
       EXPECT_EQ(pr.verdict, mp::PropertyVerdict::HoldsGlobally);

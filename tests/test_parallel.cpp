@@ -1,14 +1,22 @@
-// ParallelJaVerifier tests: verdict equivalence with the sequential
-// verifier, shared clause DB, thread-count configurations.
+// Parallel JA-verification (Section 11): sched::Scheduler with
+// num_threads > 1. Verdict equivalence with the sequential run, shared
+// clause DB, thread-count configurations.
 #include <gtest/gtest.h>
 
 #include "gen/random_design.h"
 #include "gen/synthetic.h"
-#include "mp/parallel_ja.h"
+#include "mp/sched/scheduler.h"
 #include "ref/explicit_checker.h"
 
 namespace javer::mp {
 namespace {
+
+// JA-verification on `threads` workers.
+sched::SchedulerOptions parallel_ja(unsigned threads) {
+  sched::SchedulerOptions so;
+  so.num_threads = threads;
+  return so;
+}
 
 class ParallelRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -23,10 +31,7 @@ TEST_P(ParallelRandomTest, VerdictsMatchOracle) {
   ts::TransitionSystem ts(aig);
   ref::ExplicitResult expected = ref::explicit_check(ts);
 
-  ParallelJaOptions opts;
-  opts.num_threads = 4;
-  ParallelJaVerifier parallel(ts, opts);
-  MultiResult result = parallel.run();
+  MultiResult result = sched::Scheduler(ts, parallel_ja(4)).run();
 
   ASSERT_EQ(result.per_property.size(), ts.num_properties());
   EXPECT_EQ(result.debugging_set(), expected.debugging_set())
@@ -51,12 +56,8 @@ TEST(ParallelJa, SingleThreadEqualsMultiThread) {
   aig::Aig aig = gen::make_random_design(spec);
   ts::TransitionSystem ts(aig);
 
-  ParallelJaOptions one;
-  one.num_threads = 1;
-  ParallelJaOptions many;
-  many.num_threads = 8;
-  MultiResult a = ParallelJaVerifier(ts, one).run();
-  MultiResult b = ParallelJaVerifier(ts, many).run();
+  MultiResult a = sched::Scheduler(ts, parallel_ja(1)).run();
+  MultiResult b = sched::Scheduler(ts, parallel_ja(8)).run();
   ASSERT_EQ(a.per_property.size(), b.per_property.size());
   for (std::size_t p = 0; p < a.per_property.size(); ++p) {
     EXPECT_EQ(a.per_property[p].verdict, b.per_property[p].verdict)
@@ -66,13 +67,10 @@ TEST(ParallelJa, SingleThreadEqualsMultiThread) {
 
 TEST(ParallelJa, RingDesignAllProvedOneFrame) {
   // The Table X design: every adjacency property of a one-hot ring is
-  // one-frame provable locally; the parallel verifier must prove all.
+  // one-frame provable locally; the parallel run must prove all.
   aig::Aig aig = gen::make_ring(12);
   ts::TransitionSystem ts(aig);
-  ParallelJaOptions opts;
-  opts.num_threads = 4;
-  ParallelJaVerifier parallel(ts, opts);
-  MultiResult result = parallel.run();
+  MultiResult result = sched::Scheduler(ts, parallel_ja(4)).run();
   for (std::size_t p = 0; p < ts.num_properties(); ++p) {
     EXPECT_EQ(result.per_property[p].verdict, PropertyVerdict::HoldsLocally)
         << "prop " << p;
@@ -88,10 +86,7 @@ TEST(ParallelJa, SharedClauseDbSeesAllThreads) {
   aig::Aig aig = gen::make_random_design(spec);
   ts::TransitionSystem ts(aig);
   ClauseDb db;
-  ParallelJaOptions opts;
-  opts.num_threads = 4;
-  ParallelJaVerifier parallel(ts, opts);
-  MultiResult result = parallel.run(db);
+  MultiResult result = sched::Scheduler(ts, parallel_ja(4)).run(db);
   EXPECT_EQ(result.num_unsolved(), 0u);
   EXPECT_EQ(db.snapshot().size(), db.size());
 }

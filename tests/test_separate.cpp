@@ -1,10 +1,11 @@
-// SeparateVerifier tests: local vs global modes, clause re-use, spurious
-// CEX retry, time limits, ordering — verdicts cross-checked against the
-// explicit-state oracle on random designs.
+// Separate verification, one property at a time through sched::Scheduler:
+// local vs global proof modes, clause re-use, spurious CEX retry, time
+// limits, ordering and one-property runs — verdicts cross-checked against
+// the explicit-state oracle on random designs.
 #include <gtest/gtest.h>
 
 #include "gen/random_design.h"
-#include "mp/separate_verifier.h"
+#include "mp/sched/scheduler.h"
 #include "ref/explicit_checker.h"
 #include "ts/trace.h"
 
@@ -33,11 +34,9 @@ class SeparateRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SeparateRandomTest, LocalVerdictsMatchOracle) {
   Fixture fx(GetParam());
   for (bool reuse : {false, true}) {
-    SeparateOptions opts;
-    opts.local_proofs = true;
-    opts.clause_reuse = reuse;
-    SeparateVerifier verifier(*fx.ts, opts);
-    MultiResult result = verifier.run();
+    sched::SchedulerOptions so;
+    so.engine.clause_reuse = reuse;
+    MultiResult result = sched::Scheduler(*fx.ts, so).run();
 
     ASSERT_EQ(result.per_property.size(), fx.ts->num_properties());
     for (std::size_t p = 0; p < fx.ts->num_properties(); ++p) {
@@ -63,11 +62,10 @@ TEST_P(SeparateRandomTest, LocalVerdictsMatchOracle) {
 TEST_P(SeparateRandomTest, GlobalVerdictsMatchOracle) {
   Fixture fx(GetParam() + 4000);
   for (bool reuse : {false, true}) {
-    SeparateOptions opts;
-    opts.local_proofs = false;
-    opts.clause_reuse = reuse;
-    SeparateVerifier verifier(*fx.ts, opts);
-    MultiResult result = verifier.run();
+    sched::SchedulerOptions so;
+    so.proof_mode = sched::ProofMode::Global;
+    so.engine.clause_reuse = reuse;
+    MultiResult result = sched::Scheduler(*fx.ts, so).run();
 
     for (std::size_t p = 0; p < fx.ts->num_properties(); ++p) {
       const PropertyResult& pr = result.per_property[p];
@@ -86,11 +84,9 @@ TEST_P(SeparateRandomTest, GlobalVerdictsMatchOracle) {
 TEST_P(SeparateRandomTest, BothLiftingModesAgree) {
   Fixture fx(GetParam() + 8000);
   for (bool respect : {false, true}) {
-    SeparateOptions opts;
-    opts.local_proofs = true;
-    opts.lifting_respects_constraints = respect;
-    SeparateVerifier verifier(*fx.ts, opts);
-    MultiResult result = verifier.run();
+    sched::SchedulerOptions so;
+    so.engine.lifting_respects_constraints = respect;
+    MultiResult result = sched::Scheduler(*fx.ts, so).run();
     EXPECT_EQ(result.debugging_set(), fx.expected.debugging_set())
         << "seed " << GetParam() + 8000 << " respect " << respect;
   }
@@ -99,38 +95,42 @@ TEST_P(SeparateRandomTest, BothLiftingModesAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SeparateRandomTest,
                          ::testing::Range<std::uint64_t>(1, 21));
 
-TEST(Separate, VerifyOneSharesClausesThroughDb) {
-  // A design whose properties share one invariant: proofs after the first
-  // should profit from the clause database (fewer engine clauses needed).
+TEST(Separate, OnePropertyRunsShareClausesThroughDb) {
+  // Two one-property runs (engine.order = {p}) on one ClauseDb: a
+  // successful proof exports its clauses, and the next run starts from
+  // them and still reaches the oracle's verdict.
   Fixture fx(3);
-  SeparateOptions opts;
-  opts.local_proofs = true;
-  opts.clause_reuse = true;
-  SeparateVerifier verifier(*fx.ts, opts);
   ClauseDb db;
-  PropertyResult first = verifier.verify_one(0, &db);
+  auto run_one = [&](std::size_t p) {
+    sched::SchedulerOptions so;
+    so.engine.order = {p};
+    return sched::Scheduler(*fx.ts, so).run(db).per_property[p];
+  };
+  auto expected = [&](std::size_t p) {
+    return fx.expected.fails_locally(p) ? PropertyVerdict::FailsLocally
+                                        : PropertyVerdict::HoldsLocally;
+  };
+  PropertyResult first = run_one(0);
+  EXPECT_EQ(first.verdict, expected(0));
   if (first.verdict == PropertyVerdict::HoldsLocally) {
     EXPECT_GT(db.size(), 0u) << "a successful proof must export clauses";
   }
-  PropertyResult second = verifier.verify_one(1, &db);
-  (void)second;  // all verdict checking happens in the oracle tests
+  EXPECT_EQ(run_one(1).verdict, expected(1));
 }
 
 TEST(Separate, TotalTimeLimitLeavesRestUnknown) {
   Fixture fx(5);
-  SeparateOptions opts;
-  opts.total_time_limit = 1e-9;  // expires before the first property
-  SeparateVerifier verifier(*fx.ts, opts);
-  MultiResult result = verifier.run();
+  sched::SchedulerOptions so;
+  so.engine.total_time_limit = 1e-9;  // expires before the first property
+  MultiResult result = sched::Scheduler(*fx.ts, so).run();
   EXPECT_EQ(result.num_unsolved(), fx.ts->num_properties());
 }
 
 TEST(Separate, CustomOrderVerifiesEverything) {
   Fixture fx(7);
-  SeparateOptions opts;
-  opts.order = {3, 1, 0, 2};
-  SeparateVerifier verifier(*fx.ts, opts);
-  MultiResult result = verifier.run();
+  sched::SchedulerOptions so;
+  so.engine.order = {3, 1, 0, 2};
+  MultiResult result = sched::Scheduler(*fx.ts, so).run();
   EXPECT_EQ(result.num_unsolved(), 0u);
   EXPECT_EQ(result.debugging_set(), fx.expected.debugging_set());
 }

@@ -380,8 +380,8 @@ TEST(SlicedTask, ConflictSlicedTaskConvergesAcrossSlices) {
   ts::TransitionSystem ts(aig);
   sched::EngineOptions engine;
   sched::PropertyTask task(ts, 1, {}, engine, /*local_mode=*/false);
-  sched::TaskBudget budget;
-  budget.conflicts = 4;
+  ic3::Ic3Budget budget;
+  budget.conflict_slice = 4;
   int guard = 0;
   while (task.open()) {
     task.run_slice(budget, nullptr);

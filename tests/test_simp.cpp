@@ -11,7 +11,7 @@
 #include "aig/aig.h"
 #include "base/rng.h"
 #include "gen/synthetic.h"
-#include "mp/separate_verifier.h"
+#include "mp/ja_verifier.h"
 #include "sat/dimacs.h"
 #include "sat/ref_dpll.h"
 #include "sat/simp/simplifier.h"
@@ -243,13 +243,11 @@ TEST(SimplifyEngines, JaVerificationAgreesWithPlainRun) {
   aig::Aig design = gen::make_synthetic(spec);
   ts::TransitionSystem ts(design);
 
-  mp::SeparateOptions plain;
-  plain.local_proofs = true;
-  mp::SeparateOptions with_simp = plain;
+  mp::JaOptions with_simp;
   with_simp.simplify = true;
 
-  mp::MultiResult a = mp::SeparateVerifier(ts, plain).run();
-  mp::MultiResult b = mp::SeparateVerifier(ts, with_simp).run();
+  mp::MultiResult a = mp::JaVerifier(ts).run();
+  mp::MultiResult b = mp::JaVerifier(ts, with_simp).run();
   ASSERT_EQ(a.per_property.size(), b.per_property.size());
   for (std::size_t p = 0; p < a.per_property.size(); ++p) {
     EXPECT_EQ(a.per_property[p].verdict, b.per_property[p].verdict)

@@ -8,7 +8,7 @@
 #include "base/rng.h"
 #include "gen/random_design.h"
 #include "ic3/ic3.h"
-#include "mp/separate_verifier.h"
+#include "mp/ja_verifier.h"
 #include "obs/trace.h"
 #include "ref/explicit_checker.h"
 #include "sat/solver.h"
@@ -183,8 +183,7 @@ TEST_P(EtfRandomTest, RandomEtfSubsetsMatchOracle) {
   ts::TransitionSystem ts(aig);
   ref::ExplicitResult expected = ref::explicit_check(ts);  // ETH-aware
 
-  mp::SeparateVerifier verifier(ts, mp::SeparateOptions{});
-  mp::MultiResult result = verifier.run();
+  mp::MultiResult result = mp::JaVerifier(ts).run();
   for (std::size_t p = 0; p < ts.num_properties(); ++p) {
     if (expected.fails_locally(p)) {
       EXPECT_EQ(result.per_property[p].verdict,

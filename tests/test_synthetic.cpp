@@ -5,7 +5,6 @@
 
 #include "gen/synthetic.h"
 #include "mp/ja_verifier.h"
-#include "mp/separate_verifier.h"
 #include "ref/explicit_checker.h"
 
 namespace javer::gen {
