@@ -2,7 +2,7 @@
 // spirit of aigsim — the independent counterexample auditor that pairs
 // with `javer_cli --witness`.
 //
-//   javer_cli --mode ja --witness design.aig > w.txt
+//   javer_cli --engine ja --witness design.aig > w.txt
 //   witness_check design.aig w.txt
 //
 // Exit code 0: the witness is a genuine counterexample trace for the

@@ -90,12 +90,6 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
   Header h = read_header(in);
   Aig aig;
 
-  // aiger var -> resolved literal in our graph.
-  std::vector<Lit> var_map(h.m + 1, Lit::false_lit());
-  std::vector<bool> resolved(h.m + 1, false);
-  var_map[0] = Lit::false_lit();
-  resolved[0] = true;
-
   struct PendingLatch {
     std::uint64_t lit;
     std::uint64_t next;
@@ -166,16 +160,37 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
     }
   }
 
+  // aiger var -> resolved literal in our graph, sized by the largest
+  // variable the file defines: ASCII lets the header's M exceed it by
+  // any amount (in binary M is exactly I + L + A, so there the maps span
+  // M). A variable past them is undefined, like one below that no line
+  // defines; its value is constant false.
+  std::uint64_t max_var = 0;
+  for (std::uint64_t lit : input_lits) max_var = std::max(max_var, lit >> 1);
+  for (const PendingLatch& pl : latch_lines) {
+    max_var = std::max(max_var, pl.lit >> 1);
+  }
+  for (const PendingAnd& pa : and_lines) {
+    max_var = std::max(max_var, pa.lhs >> 1);
+  }
+  max_var = std::min(max_var, h.m);  // larger ones fail below
+  std::vector<Lit> var_map(max_var + 1, Lit::false_lit());
+  std::vector<bool> resolved(max_var + 1, false);
+  resolved[0] = true;
+  auto is_resolved = [&](std::uint64_t v) {
+    return v <= max_var && resolved[v];
+  };
+
   // --- create inputs and latches ---
   for (std::uint64_t lit : input_lits) {
     std::uint64_t v = lit >> 1;
-    if (v > h.m || resolved[v]) fail("duplicate/out-of-range input var");
+    if (v > h.m || is_resolved(v)) fail("duplicate/out-of-range input var");
     var_map[v] = aig.add_input();
     resolved[v] = true;
   }
   for (const PendingLatch& pl : latch_lines) {
     std::uint64_t v = pl.lit >> 1;
-    if (v > h.m || resolved[v]) fail("duplicate/out-of-range latch var");
+    if (v > h.m || is_resolved(v)) fail("duplicate/out-of-range latch var");
     Ternary reset = Ternary::False;
     if (pl.reset == 1) {
       reset = Ternary::True;
@@ -192,7 +207,7 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
   std::unordered_map<std::uint64_t, std::size_t> def_of;  // var -> and index
   for (std::size_t idx = 0; idx < and_lines.size(); ++idx) {
     std::uint64_t v = and_lines[idx].lhs >> 1;
-    if (v > h.m || resolved[v] || def_of.count(v)) {
+    if (v > h.m || is_resolved(v) || def_of.count(v)) {
       fail("duplicate/out-of-range and var");
     }
     def_of[v] = idx;
@@ -200,7 +215,7 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
   auto lookup = [&](std::uint64_t lit) -> Lit {
     std::uint64_t v = lit >> 1;
     if (v > h.m) fail("literal out of range");
-    return var_map[v] ^ ((lit & 1) != 0);
+    return (v <= max_var ? var_map[v] : Lit::false_lit()) ^ ((lit & 1) != 0);
   };
   // Iterative DFS so deep chains do not overflow the stack. Roots are
   // visited in file order (not def_of iteration order): node creation
@@ -210,14 +225,14 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
   // above it is then in its fanin cone, so meeting it again, unresolved,
   // as a fanin closes a cycle.
   std::vector<std::uint64_t> stack;
-  std::vector<bool> expanded(h.m + 1, false);
+  std::vector<bool> expanded(max_var + 1, false);
   for (const PendingAnd& root_line : and_lines) {
     std::uint64_t root = root_line.lhs >> 1;
-    if (resolved[root]) continue;
+    if (is_resolved(root)) continue;
     stack.push_back(root);
     while (!stack.empty()) {
       std::uint64_t v = stack.back();
-      if (resolved[v]) {
+      if (is_resolved(v)) {
         stack.pop_back();
         continue;
       }
@@ -229,8 +244,8 @@ Aig read_aiger(std::istream& in, const AigerReadOptions& opts) {
       if (v0 > h.m || v1 > h.m) fail("and fanin out of range");
       bool ready = true;
       for (std::uint64_t fanin : {v0, v1}) {
-        if (resolved[fanin]) continue;
-        if (expanded[fanin]) fail("cyclic and chain");
+        if (is_resolved(fanin)) continue;
+        if (fanin <= max_var && expanded[fanin]) fail("cyclic and chain");
         stack.push_back(fanin);
         ready = false;
       }

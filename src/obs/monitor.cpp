@@ -118,8 +118,15 @@ void ProgressMonitor::stop() {
 }
 
 void ProgressMonitor::thread_main() {
+  // One wait is capped at a day: a duration past the clock's range
+  // overflows when converted to ticks and the wait returns at once, which
+  // would turn this loop into a busy poll. A longer interval samples once
+  // a day.
+  constexpr double kMaxWaitSeconds = 86400.0;
   auto interval = std::chrono::duration<double>(
-      opts_.interval_seconds > 0.0 ? opts_.interval_seconds : 1.0);
+      opts_.interval_seconds > 0.0
+          ? std::min(opts_.interval_seconds, kMaxWaitSeconds)
+          : 1.0);
   mu_.lock();
   while (!stop_requested_) {
     cv_.wait_for(mu_, interval);
@@ -145,8 +152,9 @@ ProgressMonitor::Totals ProgressMonitor::run_watchdog(
     const std::vector<TaskProgress*>& cells) {
   Totals t;
   std::int64_t now = board_->now_us();
-  auto threshold_us =
-      static_cast<std::int64_t>(opts_.stall_seconds * 1e6);
+  // Compared in double: an infinite threshold never fires, where its
+  // conversion to an integer would be undefined.
+  const double threshold_us = opts_.stall_seconds * 1e6;
   for (TaskProgress* cell : cells) {
     ProgressState s = cell->state();
     if (cell->property() >= 0) {
@@ -179,7 +187,7 @@ ProgressMonitor::Totals ProgressMonitor::run_watchdog(
       continue;
     }
     std::int64_t age = now - cell->last_activity_us();
-    if (age <= threshold_us) {
+    if (static_cast<double>(age) <= threshold_us) {
       cell->stalled_ = false;
       continue;
     }

@@ -624,12 +624,16 @@ GcStats collect_garbage(const std::string& dir, const GcOptions& opts) {
   }
 
   if (opts.max_age_days > 0) {
-    const auto cutoff =
-        now - std::chrono::duration_cast<fs::file_time_type::duration>(
-                  std::chrono::duration<double>(opts.max_age_days * 86400.0));
+    // Ages are compared in double seconds: a cutoff `now - max_age` in the
+    // clock's integer ticks underflows for a large age and lands in the
+    // future, which would evict everything. An age beyond the clock's
+    // range evicts nothing.
+    using Seconds = std::chrono::duration<double>;
+    const double now_s = Seconds(now.time_since_epoch()).count();
+    const double max_age_s = opts.max_age_days * 86400.0;
     std::vector<Entry> young;
     for (Entry& e : entries) {
-      if (e.mtime < cutoff) {
+      if (now_s - Seconds(e.mtime.time_since_epoch()).count() > max_age_s) {
         if (fs::remove(e.path, ec)) stats.removed_age++;
       } else {
         young.push_back(std::move(e));

@@ -1,6 +1,7 @@
 // AIGER reader/writer tests: hand-written files, both formats,
 // round-trips through ASCII and binary, error handling, 1.9 extensions.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <sstream>
 
@@ -147,6 +148,28 @@ TEST(AigerRead, MalformedInputsThrow) {
     std::istringstream in("aig 3 100000000000 0 0 0\n");
     EXPECT_THROW(read_aiger(in), std::runtime_error);
   }
+}
+
+long peak_rss_kib() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_maxrss;
+}
+
+TEST(AigerRead, MapsSpanTheDefinedVariablesNotTheHeaderM) {
+  // ASCII lets M exceed I + L + A: a header-only file with a huge M
+  // defines nothing and must not allocate maps over M (800 MB here).
+  const long before = peak_rss_kib();
+  std::istringstream empty("aag 200000000 0 0 0 0\n");
+  EXPECT_EQ(read_aiger(empty).num_properties(), 0u);
+  EXPECT_LT(peak_rss_kib() - before, 64 * 1024);
+
+  // A literal past the defined variables but within M is undefined and
+  // reads as constant false, as one below them does.
+  std::istringstream past("aag 1000 1 0 0 0 1\n2\n2000\n");
+  Aig a = read_aiger(past);
+  ASSERT_EQ(a.num_properties(), 1u);
+  EXPECT_EQ(a.properties()[0].lit, Lit::true_lit());  // bad = false
 }
 
 // Round-trip helper: write then read, then compare semantics by

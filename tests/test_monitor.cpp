@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -175,6 +176,28 @@ TEST(ProgressMonitor, ReportsRenderCellTotalsAndFoldFinalUnknowns) {
   EXPECT_EQ(final_line.find("final", final_line.find("final") + 1),
             std::string::npos)
       << "final summary rendered twice: " << final_line;
+}
+
+TEST(ProgressMonitor, InfiniteIntervalRendersOnlyTheFinalLine) {
+  // An interval past the clock's range must wait, not busy-poll.
+  obs::ProgressBoard board;
+  board.register_task(0, 0);
+  obs::MonitorOptions mo;
+  std::ostringstream out;
+  mo.out = &out;
+  mo.interval_seconds = std::numeric_limits<double>::infinity();
+  obs::ProgressMonitor monitor(&board, mo);
+  monitor.start();
+  sleep_seconds(0.05);
+  monitor.stop();
+  const std::string text = out.str();
+  std::size_t lines = 0;
+  for (std::size_t at = text.find("progress: "); at != std::string::npos;
+       at = text.find("progress: ", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 1u) << text.substr(0, 200);
+  EXPECT_EQ(text.rfind("progress: final ", 0), 0u);
 }
 
 // --- end-to-end: schedulers under the monitor ------------------------------

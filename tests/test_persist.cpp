@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -438,6 +439,21 @@ TEST(PersistGc, NeverDeletesEntriesNewerThanAgeThreshold) {
   EXPECT_TRUE(fs::exists(paths[0]));
   EXPECT_FALSE(fs::exists(paths[1]));
   EXPECT_TRUE(fs::exists(paths[2]));
+}
+
+TEST(PersistGc, AgeBeyondTheClockRangeEvictsNothing) {
+  // A million days, or infinitely many, is past the file clock's range
+  // in ticks; such a cap keeps fresh entries instead of wrapping around.
+  const std::string dir = fresh_dir("gc_huge_age");
+  std::vector<fs::path> paths = seed_gc_entries(dir);
+  for (double days : {1e6, std::numeric_limits<double>::infinity()}) {
+    persist::GcOptions opts;
+    opts.max_age_days = days;
+    persist::GcStats gc = persist::collect_garbage(dir, opts);
+    EXPECT_EQ(gc.removed_age, 0u) << days;
+    EXPECT_EQ(gc.kept, 3u) << days;
+  }
+  for (const fs::path& p : paths) EXPECT_TRUE(fs::exists(p));
 }
 
 TEST(PersistGc, SweepsCorruptEntriesAndStaleStagingFiles) {
